@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -91,8 +92,8 @@ class PointCloud:
         rounded = np.round(self.points, decimals)
         # normalize -0.0 so the text form is unique
         rounded = rounded + 0.0
-        lines = [f"{x:.6f},{y:.6f},{z:.6f}" for x, y, z in rounded]
-        return "\n".join(lines).encode("utf-8")
+        template = "\n".join(["%.6f,%.6f,%.6f"] * rounded.shape[0])
+        return (template % tuple(rounded.ravel().tolist())).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,12 @@ class ObjectManifest:
 
 
 def _parse_ply(data: bytes) -> np.ndarray:
-    """Parse an ascii PLY file into an (N, 3) array of x, y, z."""
+    """Parse an ascii PLY file into an (N, 3) array of x, y, z.
+
+    The vertex rows are read in one numpy call. Each row must carry
+    its x, y and z fields as ASCII decimal floats; other vertex
+    properties and the rows after the vertex element are not read.
+    """
     text = data.decode("utf-8", errors="replace")
     lines = text.splitlines()
     offset = 0
@@ -189,6 +195,8 @@ def _parse_ply(data: bytes) -> np.ndarray:
             if in_vertex_element:
                 try:
                     vertex_count = int(parts[2])
+                    if vertex_count < 0:
+                        raise ValueError
                 except ValueError:
                     raise ParseError(f"bad vertex count: {stripped!r}", offset=offset) from None
         elif stripped.startswith("property") and in_vertex_element:
@@ -202,24 +210,61 @@ def _parse_ply(data: bytes) -> np.ndarray:
         raise ParseError("PLY header missing end_header or vertex element", offset=offset)
 
     try:
-        xi, yi, zi = props.index("x"), props.index("y"), props.index("z")
+        cols = (props.index("x"), props.index("y"), props.index("z"))
     except ValueError:
         raise ParseError("PLY vertex element lacks x/y/z properties", offset=offset) from None
+    if vertex_count == 0:
+        raise EmptyPointCloud("point cloud has no points")
 
-    rows = []
-    for i in range(vertex_count):
-        if body_start + i >= len(lines):
-            raise ParseError(
-                f"PLY body truncated: expected {vertex_count} vertices, got {i}", offset=offset
-            )
-        line = lines[body_start + i]
-        fields = line.split()
+    body = lines[body_start : body_start + vertex_count]
+    # A truncated body, or one whose first row is blank, goes straight
+    # to the row walk: loadtxt would only warn that it found no data.
+    if len(body) == vertex_count and body[0].strip():
         try:
-            rows.append((float(fields[xi]), float(fields[yi]), float(fields[zi])))
-        except (IndexError, ValueError):
-            raise ParseError(f"bad PLY vertex row: {line!r}", offset=offset) from None
+            points = np.loadtxt(body, comments=None, usecols=cols, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            # loadtxt skips blank rows, so a blank row shows as a short read
+            if points.shape == (vertex_count, 3):
+                return points
+    _raise_bad_ply_body(body, vertex_count, cols, offset)
+
+
+def _is_ply_float(token: str) -> bool:
+    """Whether numpy's text parser reads `token` as a float.
+
+    That is Python's float() grammar without the digit-group
+    underscores and non-ASCII digits only float() accepts.
+    """
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_bad_ply_body(
+    body: list[str], vertex_count: int, cols: tuple[int, int, int], offset: int
+) -> NoReturn:
+    """Raise the ParseError for the first vertex row that cannot be read.
+
+    `offset` is where the body starts; it advances one byte per line
+    ending, as the header scan counts it.
+    """
+    for line in body:
+        fields = line.split()
+        if len(fields) <= max(cols) or not all(_is_ply_float(fields[c]) for c in cols):
+            raise ParseError(f"bad PLY vertex row: {line!r}", offset=offset)
         offset += len(line.encode("utf-8")) + 1
-    return np.asarray(rows, dtype=np.float64)
+    if len(body) < vertex_count:
+        raise ParseError(
+            f"PLY body truncated: expected {vertex_count} vertices, got {len(body)}",
+            offset=offset,
+        )
+    raise ParseError("PLY vertex rows could not be read", offset=offset)
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
@@ -285,6 +330,10 @@ def ingest_manifest(
     object_id = doc.get("object_id")
     if not isinstance(object_id, str) or not object_id:
         raise ParseError("object_id must be a non-empty string")
+    # the id names the record file, so it must stay one plain file name;
+    # an absolute path always holds a separator
+    if object_id in (".", "..") or any(c in object_id for c in "/\\\0"):
+        raise ParseError(f"object_id {object_id!r} is not a plain file name")
 
     views_doc = doc.get("views")
     if not isinstance(views_doc, dict):
@@ -322,13 +371,3 @@ def ingest_manifest(
         metadata=metadata,
     )
 
-
-def manifest_to_json(manifest: ObjectManifest) -> str:
-    """Serialize a manifest back to its on-disk JSON form."""
-    doc = {
-        "object_id": manifest.object_id,
-        "views": {vp.value: manifest.view_images[vp] for vp in VIEW_ORDER},
-        "point_cloud": manifest.point_cloud_ref,
-        "metadata": manifest.metadata,
-    }
-    return json.dumps(doc, indent=2, sort_keys=False)

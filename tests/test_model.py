@@ -1,7 +1,11 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewfuse.errors import EmptyPointCloud, MissingViewpoint, ParseError
 from viewfuse.model import (
@@ -13,6 +17,7 @@ from viewfuse.model import (
     ingest_manifest,
     load_point_cloud,
 )
+from viewfuse.providers import cloud_digest
 
 PLY_SIMPLE = """ply
 format ascii 1.0
@@ -101,6 +106,109 @@ def test_ply_truncated_body_reports_offset(tmp_path):
     assert err.value.offset is not None
 
 
+def test_ply_zero_vertices_is_empty_cloud_without_warning(tmp_path):
+    p = tmp_path / "cloud.ply"
+    p.write_text(PLY_SIMPLE.replace("element vertex 3", "element vertex 0"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyPointCloud):
+            load_point_cloud(p)
+
+
+def test_ply_negative_vertex_count_rejected(tmp_path):
+    p = tmp_path / "cloud.ply"
+    p.write_text(PLY_SIMPLE.replace("element vertex 3", "element vertex -2"))
+    with pytest.raises(ParseError, match="bad vertex count"):
+        load_point_cloud(p)
+
+
+# Message and byte offset the per-row parser has always given. The body
+# starts at byte 126, its second row at 138, and the three rows end at 164.
+@pytest.mark.parametrize(
+    "old, new, message, offset",
+    [
+        ("1.0 2.0 3.0", "1.0 2.0", "bad PLY vertex row: '1.0 2.0'", 138),
+        ("1.0 2.0 3.0", "1.0 abc 3.0", "bad PLY vertex row: '1.0 abc 3.0'", 138),
+        ("1.0 2.0 3.0\n", "\n1.0 2.0 3.0\n", "bad PLY vertex row: ''", 138),
+        ("element vertex 3", "element vertex 5",
+         "PLY body truncated: expected 5 vertices, got 3", 164),
+        ("0.0 0.0 0.0\n1.0 2.0 3.0\n-1.5 0.5 2.25\n", "",
+         "PLY body truncated: expected 3 vertices, got 0", 126),
+        ("0.0 0.0 0.0\n1.0 2.0 3.0\n-1.5 0.5 2.25\n", "\n \n\t\n",
+         "bad PLY vertex row: ''", 126),
+    ],
+    ids=["short-row", "non-numeric", "blank-row", "truncated", "no-body", "blank-body"],
+)
+def test_ply_body_error_message_and_offset(tmp_path, old, new, message, offset):
+    p = tmp_path / "cloud.ply"
+    p.write_text(PLY_SIMPLE.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError) as err:
+            load_point_cloud(p)
+    assert str(err.value) == message
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "0x1p3", "nan(1)"])
+def test_ply_token_outside_ascii_float_grammar_rejected(tmp_path, token):
+    p = tmp_path / "cloud.ply"
+    p.write_text(PLY_SIMPLE.replace("1.0 2.0 3.0", f"1.0 {token} 3.0"), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_point_cloud(p)
+    assert str(err.value) == f"bad PLY vertex row: {f'1.0 {token} 3.0'!r}"
+    assert err.value.offset == 138
+
+
+_ply_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.6f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17E}"),
+    st.sampled_from(["-0", "-0.0", "+0", "0.", ".5", "-.5e-3", "1e+5", "1E-7", "+3", "-4.9e-324"]),
+)
+
+
+@st.composite
+def ascii_ply(draw):
+    """(file bytes, expected (N, 3) array from a per-field float() read)."""
+    extra = draw(st.lists(
+        st.sampled_from(["nx", "ny", "nz", "red", "green", "blue", "intensity"]),
+        unique=True, max_size=4,
+    ))
+    names = draw(st.permutations(["x", "y", "z", *extra]))
+    rows = draw(st.lists(
+        st.lists(_ply_coord, min_size=len(names), max_size=len(names)), min_size=1, max_size=12,
+    ))
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    faces = draw(st.integers(0, 3))
+    header = ["ply", "format ascii 1.0", f"element vertex {len(rows)}"]
+    header += [f"property float {name}" for name in names]
+    if faces:
+        header += [f"element face {faces}", "property list uchar int vertex_indices"]
+    header.append("end_header")
+    body = [sep.join(row) for row in rows] + ["3 0 0 0"] * faces
+    expected = np.array(
+        [[float(row[names.index(axis)]) for axis in "xyz"] for row in rows], dtype=np.float64
+    )
+    return (newline.join(header + body) + newline).encode("ascii"), expected
+
+
+@pytest.fixture(scope="module")
+def ply_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ply") / "cloud.ply"
+
+
+@settings(max_examples=200, deadline=None)
+@given(ascii_ply())
+def test_ply_parse_equals_per_field_float_reference(ply_path, case):
+    data, expected = case
+    ply_path.write_bytes(data)
+    cloud = load_point_cloud(ply_path)
+    assert cloud.points.shape == expected.shape
+    assert cloud.points.tobytes() == expected.tobytes()
+
+
 def test_ply_missing_xyz_rejected(tmp_path):
     p = tmp_path / "cloud.ply"
     p.write_text(PLY_SIMPLE.replace("property float z", "property float intensity"))
@@ -161,6 +269,33 @@ def test_digest_payload_stable_and_sign_normalized():
     assert a.digest_payload() == b.digest_payload()
 
 
+def _fstring_digest_payload(points) -> bytes:
+    """The per-row construction digest_payload must keep matching."""
+    rounded = np.round(np.asarray(points, dtype=np.float64), 6) + 0.0
+    return "\n".join(f"{x:.6f},{y:.6f},{z:.6f}" for x, y, z in rounded).encode("utf-8")
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_digest_payload_matches_fstring_reference(scale):
+    points = np.random.default_rng(7).normal(size=(500, 3)) * scale
+    assert PointCloud(points).digest_payload() == _fstring_digest_payload(points)
+
+
+def test_digest_payload_edge_values_match_fstring_reference():
+    edges = [-0.0, 4e-7, -4e-7, 5e-7, -5e-7, 2.675, 1e9, -1e9, 0.0, 1.0000005, -2.5e-6, 123.4565]
+    points = np.array(edges).reshape(-1, 3)
+    assert PointCloud(points).digest_payload() == _fstring_digest_payload(points)
+    single = [[-0.0, 5e-7, 2.675]]
+    assert PointCloud(single).digest_payload() == _fstring_digest_payload(single)
+
+
+def test_cloud_digest_pinned():
+    # keys mock_truth.json entries and embed_cloud cache files
+    cloud = PointCloud(np.random.default_rng(1234).normal(size=(1000, 3)))
+    assert cloud_digest(cloud) == hashlib.sha256(_fstring_digest_payload(cloud.points)).hexdigest()
+    assert cloud_digest(cloud) == "cd850781335321b2553ac240ec0c7ada1b7eaa13e339b73f100779d816e859e9"
+
+
 def test_candidate_description_consistency_enforced():
     CandidateDescription(
         view=Viewpoint.FRONT, text="a mug", token_logprobs=(-1.0, -3.0),
@@ -204,6 +339,20 @@ def test_ingest_manifest_happy_path(tmp_path):
     assert manifest.view_images[Viewpoint.TOP] == "img_top.png"
     assert manifest.point_cloud.count == 2
     assert manifest.metadata == {"source": "test"}
+
+
+@pytest.mark.parametrize(
+    "object_id", ["../escape", "a/b", "a\\b", "nul\x00id", ".", "..", "/abs/obj", "C:\\obj"]
+)
+def test_ingest_manifest_rejects_unsafe_object_id(tmp_path, object_id):
+    path = _write_manifest(tmp_path, object_id=object_id)
+    with pytest.raises(ParseError, match="not a plain file name"):
+        ingest_manifest(path)
+
+
+def test_ingest_manifest_accepts_dotted_object_id(tmp_path):
+    manifest = ingest_manifest(_write_manifest(tmp_path, object_id="obj.v2..final"))
+    assert manifest.object_id == "obj.v2..final"
 
 
 def test_ingest_manifest_missing_views_listed(tmp_path):

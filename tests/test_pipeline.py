@@ -162,6 +162,29 @@ def test_corrupt_manifest_becomes_failure_entry(tmp_path):
     assert doc["views"] is None
 
 
+def test_path_escaping_object_id_becomes_failure_keyed_by_stem(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=2, seed=0)
+    doc = json.loads((corpus_dir / "obj_000.json").read_text())
+    doc["object_id"] = "../escape"
+    (corpus_dir / "obj_zz_evil.json").write_text(json.dumps(doc))
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert not (out_dir / "escape.json").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "flagged.jsonl", "records", "run_summary.json",
+    ]
+    assert sorted(p.name for p in (out_dir / "records").iterdir()) == [
+        "obj_000.json", "obj_001.json", "obj_zz_evil.json",
+    ]
+    assert (summary["ok"], summary["failed"]) == (2, 1)
+    failed = json.loads((out_dir / "records" / "obj_zz_evil.json").read_text())
+    assert failed["status"] == "failed"
+    assert failed["error"].startswith("ParseError: object_id '../escape'")
+
+
 def test_run_corpus_writes_all_outputs(tmp_path):
     corpus_dir = tmp_path / "corpus"
     out_dir = tmp_path / "out"
