@@ -29,7 +29,7 @@ from .clustering import (
     dbscan_cluster,
     select_canonical,
 )
-from .confidence import ConfidenceScore, compute_raw_confidence, normalize_confidence, score_tokens
+from .confidence import compute_raw_confidence, normalize_confidence
 from .config import PipelineConfig
 from .cost import estimate_cost
 from .demo import build_demo_corpus
@@ -84,7 +84,6 @@ __all__ = [
     "CandidateDescription",
     "CanonicalSet",
     "ClusterAssignment",
-    "ConfidenceScore",
     "EmbeddingVector",
     "FrontBackCombined",
     "GatingDecision",
@@ -127,7 +126,6 @@ __all__ = [
     "relevance_weights",
     "run_corpus",
     "run_pipeline",
-    "score_tokens",
     "select_canonical",
     "selection_experiment",
     "simulate_strategies",

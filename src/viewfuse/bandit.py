@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidArm, NoArms
-from .scoring import ScoredCandidate, composite_score
+from .scoring import ScoredCandidate
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,8 @@ def thompson_update(
     return state
 
 
-def compute_reward(candidate: ScoredCandidate, blend_ratio: float) -> RewardSignal:
-    """Reward for pulling a candidate: its confidence/relevance blend."""
-    if candidate.relevance_weight is None:
-        raise ValueError("candidate has no relevance weight; score canonical candidates first")
-    value = composite_score(
-        candidate.normalized_confidence, candidate.relevance_weight, blend_ratio
-    )
-    return RewardSignal(value)
+def compute_reward(candidate: ScoredCandidate) -> RewardSignal:
+    """Reward for pulling a candidate: its stored composite score."""
+    if candidate.composite_score is None:
+        raise ValueError("candidate has no composite score; score canonical candidates first")
+    return RewardSignal(candidate.composite_score)

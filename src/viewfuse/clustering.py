@@ -40,7 +40,7 @@ class CanonicalSet:
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
-    va, vb = a.as_array(), b.as_array()
+    va, vb = a.values, b.values
     na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:
         raise ZeroNormVector("cosine similarity undefined for a zero vector")
@@ -51,7 +51,7 @@ def _cosine_distance_matrix(embeddings: list[EmbeddingVector]) -> np.ndarray:
     dims = {e.dim for e in embeddings}
     if len(dims) > 1:
         raise DimensionMismatch(f"embeddings have mixed dims: {sorted(dims)}")
-    mat = np.stack([e.as_array() for e in embeddings])
+    mat = np.stack([e.values for e in embeddings])
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0.0):
         raise ZeroNormVector("cosine distance undefined for a zero vector")

@@ -8,22 +8,8 @@ weights downstream.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyTokenList, NegativeRaw, NonFiniteLogprob
-
-
-@dataclass(frozen=True)
-class ConfidenceScore:
-    """Raw (lower is better) and normalized (higher is better) confidence.
-
-    Attributes:
-        raw: mean absolute token logprob, >= 0.
-        normalized: exp(-raw), in (0, 1].
-    """
-
-    raw: float
-    normalized: float
 
 
 def compute_raw_confidence(token_logprobs: list[float]) -> float:
@@ -46,9 +32,3 @@ def normalize_confidence(raw: float) -> float:
     if not math.isfinite(raw) or raw < 0:
         raise NegativeRaw(f"raw confidence must be finite and >= 0, got {raw!r}")
     return math.exp(-raw)
-
-
-def score_tokens(token_logprobs: list[float]) -> ConfidenceScore:
-    """Convenience wrapper returning both forms at once."""
-    raw = compute_raw_confidence(token_logprobs)
-    return ConfidenceScore(raw=raw, normalized=normalize_confidence(raw))

@@ -96,29 +96,33 @@ class PointCloud:
         return (template % tuple(rounded.ravel().tolist())).encode("utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """Fixed-length real vector from an embedding provider."""
+    """Fixed-length real vector from an embedding provider, held as a
+    read-only float64 copy of the array-like it is built from."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) == 0:
-            raise ParseError("embedding must have at least one component")
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ParseError("embedding contains a non-finite component")
+        try:
+            arr = np.array(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ParseError(f"embedding is not a real vector: {e}") from None
+        if arr.ndim != 1 or arr.size == 0:
+            raise ParseError(f"embedding must be a non-empty 1-D vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ParseError("embedding contains a non-finite component")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.values.size
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, arr) -> "EmbeddingVector":
-        return cls(tuple(float(v) for v in np.asarray(arr, dtype=np.float64)))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,8 @@ class CandidateDescription:
     index: int
 
     def __post_init__(self):
-        if not self.text:
-            raise ParseError("candidate text must be non-empty")
+        if not isinstance(self.text, str) or not self.text:
+            raise ParseError("candidate text must be a non-empty string")
         if self.index < 0:
             raise ParseError(f"candidate index must be >= 0, got {self.index}")
         if not math.isfinite(self.raw_confidence) or self.raw_confidence < 0:
@@ -267,8 +271,13 @@ def _raise_bad_ply_body(
     raise ParseError("PLY vertex rows could not be read", offset=offset)
 
 
+def is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a number; true and false are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_point_cloud(path: str | Path) -> PointCloud:
-    """Load a cloud from ascii PLY or a flat JSON [[x, y, z], ...] array."""
+    """Load a cloud from ascii PLY or a flat JSON [[x, y, z], ...] array of numbers."""
     path = Path(path)
     data = path.read_bytes()
     if path.suffix.lower() == ".ply" or data[:4] == b"ply\n" or data[:5] == b"ply\r\n":
@@ -281,6 +290,9 @@ def load_point_cloud(path: str | Path) -> PointCloud:
         raise ParseError("JSON point cloud must be an array of [x, y, z] triples")
     if len(parsed) == 0:
         raise EmptyPointCloud("point cloud has no points")
+    for i, row in enumerate(parsed):
+        if not (isinstance(row, list) and len(row) == 3 and all(map(is_json_number, row))):
+            raise ParseError(f"JSON point cloud row {i} is not three numbers")
     return PointCloud(parsed)
 
 

@@ -96,7 +96,7 @@ def _run_bandit(
 ) -> BanditTrace:
     """R rounds of selection among canonical arms; emit the most-pulled."""
     arms = [scored[i] for i in reps]
-    rewards = [compute_reward(a, cfg.blend_ratio) for a in arms]
+    rewards = [compute_reward(a) for a in arms]
     k = len(arms)
     trace: list[dict] = []
 

@@ -19,10 +19,9 @@ from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 
 
 class PromptPhase(enum.Enum):
-    """The three turns of the generation conversation."""
+    """The turn of the generation conversation; its value is part of
+    the generation cache key."""
 
-    IDENTIFICATION = "identification"
-    ATTRIBUTE_ELICITATION = "attribute_elicitation"
     INTEGRATION = "integration"
 
 

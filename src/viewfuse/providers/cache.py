@@ -3,8 +3,8 @@
 One human-readable file per logical request, laid out as
 <cache_dir>/<kind>/<cache_key>.json. Writes go through a temp file and
 an atomic rename, so concurrent writers of the same key are safe.
-A corrupted entry is treated as a miss: the backing provider is
-invoked again and the entry rewritten.
+A damaged entry, unreadable or not decodable to the cached type, is a
+miss: the backing provider is invoked again and the entry rewritten.
 """
 
 import json
@@ -12,7 +12,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from ..errors import CacheCorruption, CacheDirUnwritable
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
@@ -73,20 +73,24 @@ class ResponseCache:
         except OSError as e:
             raise CacheDirUnwritable(f"cannot write cache entry {path}: {e}") from e
 
-    def fetch(self, req: ProviderRequest, invoke: Callable[[], dict]) -> dict:
-        """Hit returns the stored payload; miss invokes, stores, returns."""
+    def fetch(
+        self, req: ProviderRequest, invoke: Callable[[], dict], decode: Callable[[dict], Any]
+    ) -> Any:
+        """Hit decodes the stored payload; miss invokes, stores, decodes."""
         try:
-            payload = self.load(req)
+            value = decode(self.load(req))
             self.hits += 1
-            return payload
+            return value
         except FileNotFoundError:
             pass
         except CacheCorruption as e:
             logger.warning("treating corrupted cache entry as a miss: %s", e)
+        except (KeyError, TypeError, ValueError) as e:
+            logger.warning("treating undecodable cache entry %s as a miss: %r", self._path(req), e)
         self.misses += 1
         payload = invoke()
         self.store(req, payload)
-        return payload
+        return decode(payload)
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses}
@@ -112,6 +116,14 @@ def _candidate_from_doc(doc: dict) -> CandidateDescription:
     )
 
 
+def _vector_to_doc(vec: EmbeddingVector) -> dict:
+    return {"values": vec.values.tolist()}
+
+
+def _vector_from_doc(doc: dict) -> EmbeddingVector:
+    return EmbeddingVector(doc["values"])
+
+
 class CachedCandidateGenerator:
     def __init__(self, inner: CandidateGenerator, cache: ResponseCache):
         self.inner = inner
@@ -132,7 +144,7 @@ class CachedCandidateGenerator:
             },
             self.model_id,
         )
-        payload = self.cache.fetch(
+        return self.cache.fetch(
             req,
             lambda: {
                 "candidates": [
@@ -140,8 +152,8 @@ class CachedCandidateGenerator:
                     for c in self.inner.generate_candidates(view, image_ref, cfg)
                 ]
             },
+            lambda payload: [_candidate_from_doc(d) for d in payload["candidates"]],
         )
-        return [_candidate_from_doc(d) for d in payload["candidates"]]
 
 
 class CachedTextEmbedder:
@@ -152,10 +164,9 @@ class CachedTextEmbedder:
 
     def embed_text(self, text: str) -> EmbeddingVector:
         req = make_request("embed_text", {"text": text}, self.model_id)
-        payload = self.cache.fetch(
-            req, lambda: {"values": list(self.inner.embed_text(text).values)}
+        return self.cache.fetch(
+            req, lambda: _vector_to_doc(self.inner.embed_text(text)), _vector_from_doc
         )
-        return EmbeddingVector(tuple(payload["values"]))
 
 
 class CachedImageEmbedder:
@@ -166,10 +177,9 @@ class CachedImageEmbedder:
 
     def embed_image(self, image_ref: str) -> EmbeddingVector:
         req = make_request("embed_image", {"image_ref": image_ref}, self.model_id)
-        payload = self.cache.fetch(
-            req, lambda: {"values": list(self.inner.embed_image(image_ref).values)}
+        return self.cache.fetch(
+            req, lambda: _vector_to_doc(self.inner.embed_image(image_ref)), _vector_from_doc
         )
-        return EmbeddingVector(tuple(payload["values"]))
 
 
 class CachedCloudEmbedder:
@@ -181,10 +191,9 @@ class CachedCloudEmbedder:
     def embed_cloud(self, cloud: PointCloud) -> EmbeddingVector:
         # key by coordinate digest: stable, and keeps keys small
         req = make_request("embed_cloud", {"digest": cloud_digest(cloud)}, self.model_id)
-        payload = self.cache.fetch(
-            req, lambda: {"values": list(self.inner.embed_cloud(cloud).values)}
+        return self.cache.fetch(
+            req, lambda: _vector_to_doc(self.inner.embed_cloud(cloud)), _vector_from_doc
         )
-        return EmbeddingVector(tuple(payload["values"]))
 
 
 def wrap_with_cache(providers: ProviderSet, cache: ResponseCache) -> ProviderSet:

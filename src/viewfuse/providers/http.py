@@ -29,7 +29,7 @@ from ..errors import (
     MalformedProviderResponse,
     ProviderUnavailable,
 )
-from ..model import EmbeddingVector, PointCloud, Viewpoint
+from ..model import EmbeddingVector, PointCloud, Viewpoint, is_json_number
 from . import CandidateDraft, GenerationConfig, resolve_drafts
 
 logger = logging.getLogger(__name__)
@@ -228,19 +228,16 @@ class HttpCandidateGenerator(_HttpBase):
 class HttpEmbedder(_HttpBase):
     """Embedding endpoint adapter shared by the three embedding roles."""
 
-    def __init__(self, config: HttpProviderConfig, session=None, sleep=time.sleep,
-                 expected_dim: int | None = None):
-        super().__init__(config, session=session, sleep=sleep)
-        self.expected_dim = expected_dim
+    expected_dim: int | None = None  # fixed by the first response
 
     def _embed(self, values: dict) -> EmbeddingVector:
         doc = self._post(substitute_template(self.config.request_template, values))
         raw = extract_path(doc, self.config.embedding_path)
-        if not isinstance(raw, list) or not raw:
+        if not isinstance(raw, list) or not raw or not all(map(is_json_number, raw)):
             raise MalformedProviderResponse(
-                f"{self.config.embedding_path!r} did not yield a vector"
+                f"{self.config.embedding_path!r} did not yield a vector of numbers"
             )
-        vec = EmbeddingVector(tuple(float(x) for x in raw))
+        vec = EmbeddingVector(raw)
         if self.expected_dim is None:
             self.expected_dim = vec.dim
         elif vec.dim != self.expected_dim:

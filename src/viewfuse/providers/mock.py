@@ -71,10 +71,10 @@ class ConceptSpace:
 
     def noisy_anchor(self, slug: str, noise_key: str, scale: float) -> EmbeddingVector:
         v = self.anchor(slug) + scale * self._unit(f"noise:{noise_key}")
-        return EmbeddingVector.from_array(v / np.linalg.norm(v))
+        return EmbeddingVector(v / np.linalg.norm(v))
 
     def off_anchor(self, noise_key: str) -> EmbeddingVector:
-        return EmbeddingVector.from_array(self._unit(f"noise:{noise_key}"))
+        return EmbeddingVector(self._unit(f"noise:{noise_key}"))
 
 
 def concept_from_image_ref(image_ref: str) -> str:

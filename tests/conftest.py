@@ -7,7 +7,7 @@ from viewfuse.model import EmbeddingVector
 
 
 def make_emb(*values) -> EmbeddingVector:
-    return EmbeddingVector.from_array(np.asarray(values, dtype=np.float64))
+    return EmbeddingVector(np.asarray(values, dtype=np.float64))
 
 
 @pytest.fixture

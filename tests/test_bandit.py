@@ -18,7 +18,7 @@ from viewfuse.bandit import (
 )
 from viewfuse.errors import InvalidArm, NoArms
 from viewfuse.model import Viewpoint
-from viewfuse.scoring import ScoredCandidate
+from viewfuse.scoring import ScoredCandidate, composite_score
 
 
 def test_reward_signal_clamps_to_unit_interval():
@@ -210,19 +210,21 @@ def test_thompson_priors_must_be_positive():
         ThompsonState(arm_count=2, prior_alpha=0.0)
 
 
-def _scored(conf, rel):
+def _scored(conf, rel, blend_ratio):
     return ScoredCandidate(
         view=Viewpoint.FRONT, index=0, text="x", cluster_id=0,
         raw_confidence=1.0, normalized_confidence=conf, relevance_weight=rel,
-        composite_score=None,
+        composite_score=None if rel is None else composite_score(conf, rel, blend_ratio),
     )
 
 
 def test_compute_reward_is_the_composite_blend():
-    reward = compute_reward(_scored(0.6, 0.9), blend_ratio=0.2)
+    candidate = _scored(0.6, 0.9, blend_ratio=0.2)
+    reward = compute_reward(candidate)
+    assert reward.value == candidate.composite_score
     assert reward.value == pytest.approx(0.66, abs=1e-12)
 
 
 def test_compute_reward_requires_relevance():
     with pytest.raises(ValueError):
-        compute_reward(_scored(0.6, None), blend_ratio=0.2)
+        compute_reward(_scored(0.6, None, blend_ratio=0.2))

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ def test_fetch_miss_then_hit(tmp_path):
         return {"value": 42}
 
     r = req()
-    assert cache.fetch(r, invoke) == {"value": 42}
-    assert cache.fetch(r, invoke) == {"value": 42}
+    assert cache.fetch(r, invoke, dict) == {"value": 42}
+    assert cache.fetch(r, invoke, dict) == {"value": 42}
     assert len(calls) == 1
     assert cache.stats() == {"hits": 1, "misses": 1}
 
@@ -34,7 +35,7 @@ def test_fetch_miss_then_hit(tmp_path):
 def test_cache_file_layout_and_readability(tmp_path):
     cache = ResponseCache(tmp_path)
     r = req(kind="embed_text")
-    cache.fetch(r, lambda: {"v": [1.0, 2.0]})
+    cache.fetch(r, lambda: {"v": [1.0, 2.0]}, dict)
     path = tmp_path / "embed_text" / f"{r.cache_key}.json"
     assert path.exists()
     assert json.loads(path.read_text()) == {"v": [1.0, 2.0]}
@@ -43,7 +44,7 @@ def test_cache_file_layout_and_readability(tmp_path):
 def test_corrupted_entry_repaired(tmp_path):
     cache = ResponseCache(tmp_path)
     r = req()
-    cache.fetch(r, lambda: {"value": 1})
+    cache.fetch(r, lambda: {"value": 1}, dict)
     path = tmp_path / r.kind / f"{r.cache_key}.json"
     path.write_text("{broken json", encoding="utf-8")
     calls = []
@@ -52,7 +53,7 @@ def test_corrupted_entry_repaired(tmp_path):
         calls.append(1)
         return {"value": 2}
 
-    assert cache.fetch(r, invoke) == {"value": 2}
+    assert cache.fetch(r, invoke, dict) == {"value": 2}
     assert calls == [1]
     assert json.loads(path.read_text()) == {"value": 2}  # entry rewritten
     assert cache.misses == 2  # corruption counted as a miss
@@ -77,8 +78,8 @@ def test_store_into_unwritable_dir_raises(tmp_path):
 
 def test_distinct_payloads_get_distinct_files(tmp_path):
     cache = ResponseCache(tmp_path)
-    cache.fetch(req({"temperature": 0.7}), lambda: {"v": 1})
-    cache.fetch(req({"temperature": 0.8}), lambda: {"v": 2})
+    cache.fetch(req({"temperature": 0.7}), lambda: {"v": 1}, dict)
+    cache.fetch(req({"temperature": 0.8}), lambda: {"v": 2}, dict)
     files = list((tmp_path / "generate").iterdir())
     assert len(files) == 2
 
@@ -120,3 +121,53 @@ def test_warm_cache_needs_no_backing_calls(tmp_path):
     rewrapped.text_embedder.embed_text("A vase.")
     assert fresh.generator.calls == 0
     assert fresh.text_embedder.calls == 0
+
+
+CLOUD = PointCloud(np.random.default_rng(3).normal(size=(40, 3)))
+
+# request kind -> (backing provider slot, call through a provider set)
+CALLS = {
+    "generate_candidates": (
+        "generator",
+        lambda p: p.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG),
+    ),
+    "embed_text": ("text_embedder", lambda p: p.text_embedder.embed_text("A mug with dents.")),
+    "embed_image": ("image_embedder", lambda p: p.image_embedder.embed_image("mug__o__front.png")),
+    "embed_cloud": ("cloud_embedder", lambda p: p.cloud_embedder.embed_cloud(CLOUD)),
+}
+
+
+# (request kind, stored payload -> damaged payload)
+DAMAGES = {
+    "renamed-key": ("embed_text", lambda doc: {"vals": doc["values"]}),
+    "string-values": ("embed_text", lambda doc: {"values": "ab"}),
+    "nested-values": ("embed_text", lambda doc: {"values": [doc["values"]]}),
+    "null-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [None]}),
+    "empty-values": ("embed_cloud", lambda doc: {"values": []}),
+    "renamed-list": ("generate_candidates", lambda doc: {"choices": doc["candidates"]}),
+    "string-list": ("generate_candidates", lambda doc: {"candidates": "ab"}),
+    "missing-fields": ("generate_candidates", lambda doc: {"candidates": [{"view": "front"}]}),
+    "number-text": (
+        "generate_candidates",
+        lambda doc: {"candidates": [{**c, "text": 5} for c in doc["candidates"]]},
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_undecodable_entry_is_a_logged_miss_and_rewritten(tmp_path, caplog, damage):
+    kind, damaged = DAMAGES[damage]
+    backing = build_mock_providers(seed=9)
+    cache = ResponseCache(tmp_path)
+    slot, call = CALLS[kind]
+    expected = call(wrap_with_cache(backing, cache))
+    [path] = (tmp_path / kind).iterdir()
+    stored = path.read_text()
+    path.write_text(json.dumps(damaged(json.loads(stored))))
+
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        assert call(wrap_with_cache(backing, cache)) == expected
+    assert "undecodable cache entry" in caplog.text
+    assert getattr(backing, slot).calls == 2
+    assert cache.stats() == {"hits": 0, "misses": 2}
+    assert path.read_text() == stored

@@ -28,7 +28,7 @@ def dbscan_reference(embeddings, eps, min_pts):
     joins the smallest-numbered cluster of any core neighbor (or is
     noise). No shared code with the production routine beyond numpy.
     """
-    vecs = np.stack([e.as_array() for e in embeddings])
+    vecs = np.stack([e.values for e in embeddings])
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
     dist = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     n = len(embeddings)

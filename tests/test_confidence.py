@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from viewfuse.confidence import (
     compute_raw_confidence,
     normalize_confidence,
-    score_tokens,
 )
 from viewfuse.errors import EmptyTokenList, NegativeRaw, NonFiniteLogprob
 
@@ -50,12 +49,6 @@ def test_normalize_is_exp_of_negated_raw():
 def test_normalize_rejects_negative_raw():
     with pytest.raises(NegativeRaw):
         normalize_confidence(-0.1)
-
-
-def test_score_tokens_bundles_both_forms():
-    score = score_tokens([-1.0, -1.0])
-    assert score.raw == pytest.approx(1.0, abs=1e-12)
-    assert score.normalized == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 logprob_lists = st.lists(

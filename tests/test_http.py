@@ -228,7 +228,7 @@ def test_embedder_happy_path():
     session = FakeSession(emb_response([0.1, 0.2, 0.3]))
     emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
     vec = emb.embed_text("a mug")
-    assert vec.values == (0.1, 0.2, 0.3)
+    assert vec.values.tolist() == [0.1, 0.2, 0.3]
     assert session.requests[0]["json"]["input"] == "a mug"
 
 
@@ -240,11 +240,12 @@ def test_embedder_dimension_contract():
         emb.embed_text("second must match")
 
 
-def test_embedder_explicit_expected_dim():
-    session = FakeSession(emb_response([0.1, 0.2]))
-    emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None, expected_dim=4)
-    with pytest.raises(DimensionContractViolation):
-        emb.embed_text("wrong size")
+@pytest.mark.parametrize("entry", [None, "abc", [0.2], "0.5", True])
+def test_embedder_rejects_entries_that_are_not_numbers(entry):
+    session = FakeSession(emb_response([0.1, entry, 0.3]))
+    emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
+    with pytest.raises(MalformedProviderResponse):
+        emb.embed_text("x")
 
 
 def test_embedder_empty_vector_rejected():

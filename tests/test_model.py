@@ -11,6 +11,7 @@ from viewfuse.errors import EmptyPointCloud, MissingViewpoint, ParseError
 from viewfuse.model import (
     VIEW_ORDER,
     CandidateDescription,
+    EmbeddingVector,
     PointCloud,
     Viewpoint,
     downsample,
@@ -61,6 +62,28 @@ def test_point_cloud_is_immutable():
     cloud = PointCloud([[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 9.0
+
+
+def test_embedding_vector_holds_a_read_only_float64_copy():
+    source = np.array([1.0, 2.0, 3.0])
+    vec = EmbeddingVector(source)
+    source[0] = 9.0
+    assert vec.values.dtype == np.float64
+    assert vec.values.tolist() == [1.0, 2.0, 3.0]
+    assert vec.dim == 3
+    with pytest.raises(ValueError):
+        vec.values[0] = 0.0
+    assert vec == EmbeddingVector([1, 2, 3])
+    assert vec != EmbeddingVector([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], 1.0, [[1.0, 2.0]], [[1.0], [1.0, 2.0]], [1.0, np.nan], [np.inf], [None], ["a"], {"a": 1}],
+)
+def test_embedding_vector_rejects_what_is_not_a_finite_vector(values):
+    with pytest.raises(ParseError):
+        EmbeddingVector(values)
 
 
 def test_ply_parse(tmp_path):
@@ -220,6 +243,27 @@ def test_json_cloud_parse(tmp_path):
     p = tmp_path / "cloud.json"
     p.write_text(json.dumps([[0, 0, 0], [1, 2, 3]]))
     assert load_point_cloud(p).count == 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [1, 2]],
+        [[1, 2, "x"]],
+        [[1, 2, "3"], [True, False, " 4e0 "]],
+        [[1, 2, True]],
+        [[1, 2, None]],
+        [[1, 2, [3]]],
+        [[1, 2, 3, 4]],
+        [[1, 2, 3], 4],
+        [{"x": 1, "y": 2, "z": 3}],
+    ],
+)
+def test_json_cloud_rows_must_be_three_numbers(tmp_path, rows):
+    p = tmp_path / "cloud.json"
+    p.write_text(json.dumps(rows))
+    with pytest.raises(ParseError, match="is not three numbers"):
+        load_point_cloud(p)
 
 
 def test_json_cloud_empty_rejected(tmp_path):

@@ -185,6 +185,26 @@ def test_path_escaping_object_id_becomes_failure_keyed_by_stem(tmp_path):
     assert failed["error"].startswith("ParseError: object_id '../escape'")
 
 
+def test_malformed_json_cloud_becomes_failure_entry(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=2, seed=0)
+    # in a subdirectory, so the corpus scan does not take it for a manifest
+    (corpus_dir / "bad").mkdir()
+    (corpus_dir / "bad" / "cloud.json").write_text("[[1, 2, 3], [1, 2]]")
+    doc = json.loads((corpus_dir / "obj_000.json").read_text())
+    doc["object_id"] = "obj_zz_bad_cloud"
+    doc["point_cloud"] = "bad/cloud.json"
+    (corpus_dir / "obj_zz_bad_cloud.json").write_text(json.dumps(doc))
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert (summary["ok"], summary["failed"]) == (2, 1)
+    failed = json.loads((out_dir / "records" / "obj_zz_bad_cloud.json").read_text())
+    assert failed["status"] == "failed"
+    assert failed["error"] == "ParseError: JSON point cloud row 1 is not three numbers"
+
+
 def test_run_corpus_writes_all_outputs(tmp_path):
     corpus_dir = tmp_path / "corpus"
     out_dir = tmp_path / "out"
