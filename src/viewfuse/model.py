@@ -177,7 +177,6 @@ def _parse_ply(data: bytes) -> np.ndarray:
     """
     text = data.decode("utf-8", errors="replace")
     lines = text.splitlines()
-    offset = 0
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file (missing 'ply' magic)", offset=0)
 
@@ -185,14 +184,13 @@ def _parse_ply(data: bytes) -> np.ndarray:
     props: list[str] = []
     in_vertex_element = False
     body_start = None
-    for i, line in enumerate(lines):
+    for i, line in enumerate(lines[1:], start=1):
         stripped = line.strip()
-        if i == 0:
-            offset += len(line.encode("utf-8")) + 1
-            continue
         if stripped.startswith("format"):
             if "ascii" not in stripped:
-                raise ParseError(f"unsupported PLY format: {stripped!r}", offset=offset)
+                raise ParseError(
+                    f"unsupported PLY format: {stripped!r}", offset=_line_offset(text, i)
+                )
         elif stripped.startswith("element"):
             parts = stripped.split()
             in_vertex_element = len(parts) == 3 and parts[1] == "vertex"
@@ -202,21 +200,26 @@ def _parse_ply(data: bytes) -> np.ndarray:
                     if vertex_count < 0:
                         raise ValueError
                 except ValueError:
-                    raise ParseError(f"bad vertex count: {stripped!r}", offset=offset) from None
+                    raise ParseError(
+                        f"bad vertex count: {stripped!r}", offset=_line_offset(text, i)
+                    ) from None
         elif stripped.startswith("property") and in_vertex_element:
             props.append(stripped.split()[-1])
         elif stripped == "end_header":
             body_start = i + 1
-            offset += len(line.encode("utf-8")) + 1
             break
-        offset += len(line.encode("utf-8")) + 1
     if body_start is None or vertex_count is None:
-        raise ParseError("PLY header missing end_header or vertex element", offset=offset)
+        raise ParseError(
+            "PLY header missing end_header or vertex element",
+            offset=_line_offset(text, body_start or len(lines)),
+        )
 
     try:
         cols = (props.index("x"), props.index("y"), props.index("z"))
     except ValueError:
-        raise ParseError("PLY vertex element lacks x/y/z properties", offset=offset) from None
+        raise ParseError(
+            "PLY vertex element lacks x/y/z properties", offset=_line_offset(text, body_start)
+        ) from None
     if vertex_count == 0:
         raise EmptyPointCloud("point cloud has no points")
 
@@ -232,7 +235,13 @@ def _parse_ply(data: bytes) -> np.ndarray:
             # loadtxt skips blank rows, so a blank row shows as a short read
             if points.shape == (vertex_count, 3):
                 return points
-    _raise_bad_ply_body(body, vertex_count, cols, offset)
+    _raise_bad_ply_body(text, body_start, body, vertex_count, cols)
+
+
+def _line_offset(text: str, index: int) -> int:
+    """Byte offset of line `index` of `text`, each line counted with its
+    own ending (one byte for LF, two for CRLF)."""
+    return sum(len(line.encode("utf-8")) for line in text.splitlines(keepends=True)[:index])
 
 
 def _is_ply_float(token: str) -> bool:
@@ -251,29 +260,40 @@ def _is_ply_float(token: str) -> bool:
 
 
 def _raise_bad_ply_body(
-    body: list[str], vertex_count: int, cols: tuple[int, int, int], offset: int
+    text: str, body_start: int, body: list[str], vertex_count: int, cols: tuple[int, int, int]
 ) -> NoReturn:
     """Raise the ParseError for the first vertex row that cannot be read.
 
-    `offset` is where the body starts; it advances one byte per line
-    ending, as the header scan counts it.
+    `body` is the lines of `text` from line `body_start` on.
     """
-    for line in body:
+    for i, line in enumerate(body):
         fields = line.split()
         if len(fields) <= max(cols) or not all(_is_ply_float(fields[c]) for c in cols):
-            raise ParseError(f"bad PLY vertex row: {line!r}", offset=offset)
-        offset += len(line.encode("utf-8")) + 1
+            raise ParseError(
+                f"bad PLY vertex row: {line!r}", offset=_line_offset(text, body_start + i)
+            )
+    end = _line_offset(text, body_start + len(body))
     if len(body) < vertex_count:
         raise ParseError(
             f"PLY body truncated: expected {vertex_count} vertices, got {len(body)}",
-            offset=offset,
+            offset=end,
         )
-    raise ParseError("PLY vertex rows could not be read", offset=offset)
+    raise ParseError("PLY vertex rows could not be read", offset=end)
 
 
 def is_json_number(value) -> bool:
     """Whether a parsed JSON value is a number; true and false are not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_json_vector(value) -> bool:
+    """Whether a value from `json.loads` is a non-empty list of JSON numbers.
+
+    json.loads makes numbers exactly int or float (true and false are
+    bool), so the element types are compared as a set, without a
+    Python call per element.
+    """
+    return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:

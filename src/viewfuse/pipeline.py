@@ -156,24 +156,27 @@ def annotate_object(
     )
     try:
         t0 = time.perf_counter()
-        raw_candidates = {
-            view: providers.generator.generate_candidates(
-                view, manifest.view_images[view], gen_cfg
-            )
-            for view in VIEW_ORDER
-        }
+        image_refs = [manifest.view_images[view] for view in VIEW_ORDER]
+        raw_candidates = providers.generator.generate_views(
+            list(zip(VIEW_ORDER, image_refs)), gen_cfg
+        )
         t1 = time.perf_counter()
 
+        # one call per role for all views; split back per view below
+        image_embs = providers.image_embedder.embed_images(image_refs)
+        all_text_embs = providers.text_embedder.embed_texts(
+            [c.text for candidates in raw_candidates for c in candidates]
+        )
         selections: list[ViewSelection] = []
-        for view in VIEW_ORDER:
-            candidates = raw_candidates[view]
-            text_embs = [providers.text_embedder.embed_text(c.text) for c in candidates]
+        start = 0
+        for view, candidates, image_emb in zip(VIEW_ORDER, raw_candidates, image_embs):
+            text_embs = all_text_embs[start : start + len(candidates)]
+            start += len(candidates)
             norm_confs = [normalize_confidence(c.raw_confidence) for c in candidates]
             assignments = dbscan_cluster(text_embs, cfg.eps, cfg.min_pts)
             canonical = select_canonical(assignments, norm_confs)
             reps = list(canonical.representatives)
 
-            image_emb = providers.image_embedder.embed_image(manifest.view_images[view])
             weights = relevance_weights(image_emb, [text_embs[i] for i in reps])
 
             rep_rank = {idx: pos for pos, idx in enumerate(reps)}

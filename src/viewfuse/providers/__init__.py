@@ -4,6 +4,9 @@ The engine needs a candidate generator (vision-language model), a text
 embedder (clustering space), an image-text embedder (relevance), and a
 point-cloud embedder (gating). Each is an abstract interface with a
 deterministic mock, an HTTP adapter, and an on-disk response cache.
+The generator and the text and image embedders also take a batch, so
+one object's calls of a role can go out as one wave; a batch returns
+its results in input order.
 """
 
 import enum
@@ -72,6 +75,12 @@ class CandidateGenerator(Protocol):
         self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
     ) -> list[CandidateDescription]: ...
 
+    def generate_views(
+        self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
+    ) -> list[list[CandidateDescription]]:
+        """generate_candidates for each (view, image_ref), in input order."""
+        ...
+
 
 @runtime_checkable
 class TextEmbedder(Protocol):
@@ -79,12 +88,20 @@ class TextEmbedder(Protocol):
 
     def embed_text(self, text: str) -> EmbeddingVector: ...
 
+    def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
+        """embed_text for each text, in input order."""
+        ...
+
 
 @runtime_checkable
 class ImageEmbedder(Protocol):
     model_id: str
 
     def embed_image(self, image_ref: str) -> EmbeddingVector: ...
+
+    def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
+        """embed_image for each reference, in input order."""
+        ...
 
 
 @runtime_checkable

@@ -5,17 +5,20 @@ One human-readable file per logical request, laid out as
 an atomic rename, so concurrent writers of the same key are safe.
 A damaged entry, unreadable or not decodable to the cached type, is a
 miss: the backing provider is invoked again and the entry rewritten.
+A batch call keeps one entry per item: its hits are read one by one,
+and only its misses go to the backing provider, in one batch call.
 """
 
 import json
 import logging
 import os
 import tempfile
+import threading
 from pathlib import Path
 from typing import Any, Callable
 
 from ..errors import CacheCorruption, CacheDirUnwritable
-from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
+from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, is_json_vector
 from . import (
     CandidateGenerator,
     CloudEmbedder,
@@ -38,6 +41,7 @@ class ResponseCache:
         self.cache_dir = Path(cache_dir)
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()  # worker threads share the counters
 
     def _path(self, req: ProviderRequest) -> Path:
         return self.cache_dir / req.kind / f"{req.cache_key}.json"
@@ -77,23 +81,56 @@ class ResponseCache:
         self, req: ProviderRequest, invoke: Callable[[], dict], decode: Callable[[dict], Any]
     ) -> Any:
         """Hit decodes the stored payload; miss invokes, stores, decodes."""
-        try:
-            value = decode(self.load(req))
-            self.hits += 1
-            return value
-        except FileNotFoundError:
-            pass
-        except CacheCorruption as e:
-            logger.warning("treating corrupted cache entry as a miss: %s", e)
-        except (KeyError, TypeError, ValueError) as e:
-            logger.warning("treating undecodable cache entry %s as a miss: %r", self._path(req), e)
-        self.misses += 1
-        payload = invoke()
-        self.store(req, payload)
-        return decode(payload)
+        return self.fetch_many([req], lambda _misses: [invoke()], decode)[0]
+
+    def fetch_many(
+        self,
+        reqs: list[ProviderRequest],
+        invoke_many: Callable[[list[int]], list[dict]],
+        decode: Callable[[dict], Any],
+    ) -> list:
+        """Decoded payloads for `reqs`, in order.
+
+        Hits are read here, one at a time. The misses, given as their
+        positions in `reqs`, go to `invoke_many` in one call, which
+        returns their payloads in the same order; each is stored under
+        its own key. A key repeated within the batch is fetched once
+        and its repeats count as hits, as they would one call at a time.
+        """
+        results: list = [None] * len(reqs)
+        misses: list[int] = []
+        missing_keys: set[str] = set()
+        for i, req in enumerate(reqs):
+            if req.cache_key in missing_keys:
+                continue
+            try:
+                results[i] = decode(self.load(req))
+                continue
+            except FileNotFoundError:
+                pass
+            except CacheCorruption as e:
+                logger.warning("treating corrupted cache entry as a miss: %s", e)
+            except (KeyError, TypeError, ValueError) as e:
+                logger.warning("treating undecodable cache entry %s as a miss: %r", self._path(req), e)
+            missing_keys.add(req.cache_key)
+            misses.append(i)
+        with self._lock:
+            self.hits += len(reqs) - len(misses)
+            self.misses += len(misses)
+        if not misses:
+            return results
+        fetched = {}
+        for i, payload in zip(misses, invoke_many(misses), strict=True):
+            self.store(reqs[i], payload)
+            fetched[reqs[i].cache_key] = payload
+        return [
+            decode(fetched[req.cache_key]) if req.cache_key in fetched else value
+            for req, value in zip(reqs, results)
+        ]
 
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses}
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses}
 
 
 def _candidate_to_doc(c: CandidateDescription) -> dict:
@@ -116,11 +153,21 @@ def _candidate_from_doc(doc: dict) -> CandidateDescription:
     )
 
 
+def _candidates_from_payload(payload: dict, n: int) -> list[CandidateDescription]:
+    candidates = [_candidate_from_doc(d) for d in payload["candidates"]]
+    if len(candidates) != n:
+        raise ValueError(f"cached entry holds {len(candidates)} candidates, not {n}")
+    return candidates
+
+
 def _vector_to_doc(vec: EmbeddingVector) -> dict:
     return {"values": vec.values.tolist()}
 
 
 def _vector_from_doc(doc: dict) -> EmbeddingVector:
+    # the rule HttpEmbedder applies to a fresh response
+    if not is_json_vector(doc["values"]):
+        raise ValueError("cached embedding is not a non-empty list of JSON numbers")
     return EmbeddingVector(doc["values"])
 
 
@@ -133,26 +180,32 @@ class CachedCandidateGenerator:
     def generate_candidates(
         self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
     ) -> list[CandidateDescription]:
-        req = make_request(
-            "generate_candidates",
-            {
-                "view": view.value,
-                "image_ref": image_ref,
-                "temperature": cfg.temperature,
-                "n": cfg.num_candidates,
-                "phase": cfg.prompt_phase.value,
-            },
-            self.model_id,
-        )
-        return self.cache.fetch(
-            req,
-            lambda: {
-                "candidates": [
-                    _candidate_to_doc(c)
-                    for c in self.inner.generate_candidates(view, image_ref, cfg)
-                ]
-            },
-            lambda payload: [_candidate_from_doc(d) for d in payload["candidates"]],
+        return self.generate_views([(view, image_ref)], cfg)[0]
+
+    def generate_views(
+        self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
+    ) -> list[list[CandidateDescription]]:
+        reqs = [
+            make_request(
+                "generate_candidates",
+                {
+                    "view": view.value,
+                    "image_ref": image_ref,
+                    "temperature": cfg.temperature,
+                    "n": cfg.num_candidates,
+                    "phase": cfg.prompt_phase.value,
+                },
+                self.model_id,
+            )
+            for view, image_ref in items
+        ]
+        return self.cache.fetch_many(
+            reqs,
+            lambda misses: [
+                {"candidates": [_candidate_to_doc(c) for c in candidates]}
+                for candidates in self.inner.generate_views([items[i] for i in misses], cfg)
+            ],
+            lambda payload: _candidates_from_payload(payload, cfg.num_candidates),
         )
 
 
@@ -163,9 +216,16 @@ class CachedTextEmbedder:
         self.model_id = inner.model_id
 
     def embed_text(self, text: str) -> EmbeddingVector:
-        req = make_request("embed_text", {"text": text}, self.model_id)
-        return self.cache.fetch(
-            req, lambda: _vector_to_doc(self.inner.embed_text(text)), _vector_from_doc
+        return self.embed_texts([text])[0]
+
+    def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
+        reqs = [make_request("embed_text", {"text": t}, self.model_id) for t in texts]
+        return self.cache.fetch_many(
+            reqs,
+            lambda misses: [
+                _vector_to_doc(v) for v in self.inner.embed_texts([texts[i] for i in misses])
+            ],
+            _vector_from_doc,
         )
 
 
@@ -176,9 +236,17 @@ class CachedImageEmbedder:
         self.model_id = inner.model_id
 
     def embed_image(self, image_ref: str) -> EmbeddingVector:
-        req = make_request("embed_image", {"image_ref": image_ref}, self.model_id)
-        return self.cache.fetch(
-            req, lambda: _vector_to_doc(self.inner.embed_image(image_ref)), _vector_from_doc
+        return self.embed_images([image_ref])[0]
+
+    def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
+        reqs = [make_request("embed_image", {"image_ref": r}, self.model_id) for r in image_refs]
+        return self.cache.fetch_many(
+            reqs,
+            lambda misses: [
+                _vector_to_doc(v)
+                for v in self.inner.embed_images([image_refs[i] for i in misses])
+            ],
+            _vector_from_doc,
         )
 
 

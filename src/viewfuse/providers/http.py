@@ -13,29 +13,45 @@ substituted textually.
 
 Response paths are dotted, with [i] for list indices and [] to map
 over a list: "choices[].text" collects the text field of every choice.
+
+A batch call sends one request per item, FANOUT_WIDTH at a time, and
+checks the answers in input order on the calling thread. Transport
+errors, HTTP 429 and 5xx answers are retried with backoff; other
+error statuses fail at once.
 """
 
+import concurrent.futures
 import logging
 import os
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 import requests
+import requests.adapters
 
 from ..errors import (
     DimensionContractViolation,
     MalformedProviderResponse,
     ProviderUnavailable,
 )
-from ..model import EmbeddingVector, PointCloud, Viewpoint, is_json_number
+from ..model import EmbeddingVector, PointCloud, Viewpoint, is_json_vector
 from . import CandidateDraft, GenerationConfig, resolve_drafts
 
 logger = logging.getLogger(__name__)
 
 MAX_ATTEMPTS = 3
 BACKOFF_SECONDS = 1.0
+# longest wait a Retry-After header can ask for between two attempts
+RETRY_AFTER_CAP_SECONDS = 30.0
+# requests of one batch in flight at once, across every adapter in the
+# process; each session's connection pool holds as many connections
+FANOUT_WIDTH = 8
+_FANOUT = concurrent.futures.ThreadPoolExecutor(
+    max_workers=FANOUT_WIDTH, thread_name_prefix="viewfuse-http"
+)
 
 _PLACEHOLDER = re.compile(r"^\{(\w+)\}$")
 
@@ -124,10 +140,27 @@ def extract_path_lenient(doc: Any, path: str) -> Any:
     return _walk(doc, _tokenize_path(path), path, lenient=True)
 
 
+def _new_session() -> requests.Session:
+    session = requests.Session()
+    adapter = requests.adapters.HTTPAdapter(pool_maxsize=FANOUT_WIDTH)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
+def _retry_after(response) -> float | None:
+    """An integer-seconds Retry-After header, capped; None when absent or
+    in another form."""
+    value = response.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_CAP_SECONDS)
+
+
 class _HttpBase:
     def __init__(self, config: HttpProviderConfig, session=None, sleep=time.sleep):
         self.config = config
-        self.session = session if session is not None else requests.Session()
+        self.session = session if session is not None else _new_session()
         self.sleep = sleep
         self.model_id = config.model or config.endpoint
 
@@ -141,9 +174,12 @@ class _HttpBase:
 
     def _post(self, body: dict) -> dict:
         last_error = None
+        retry_after = None
         for attempt in range(MAX_ATTEMPTS):
             if attempt > 0:
-                delay = BACKOFF_SECONDS * (2 ** (attempt - 1))
+                delay = retry_after
+                if delay is None:
+                    delay = BACKOFF_SECONDS * (2 ** (attempt - 1))
                 logger.info("retrying %s in %.1fs (attempt %d)", self.config.endpoint, delay, attempt + 1)
                 self.sleep(delay)
             try:
@@ -155,11 +191,15 @@ class _HttpBase:
                 )
             except (requests.ConnectionError, requests.Timeout) as e:
                 last_error = e
+                retry_after = None
                 continue
-            if response.status_code >= 400:
-                raise ProviderUnavailable(
-                    f"{self.config.endpoint} answered HTTP {response.status_code}"
-                )
+            status = response.status_code
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                retry_after = _retry_after(response)
+                continue
+            if status >= 400:
+                raise ProviderUnavailable(f"{self.config.endpoint} answered HTTP {status}")
             try:
                 return response.json()
             except ValueError as e:
@@ -167,8 +207,26 @@ class _HttpBase:
                     f"{self.config.endpoint} returned non-JSON body"
                 ) from e
         raise ProviderUnavailable(
-            f"{self.config.endpoint} unreachable after {MAX_ATTEMPTS} attempts: {last_error}"
+            f"{self.config.endpoint} failed after {MAX_ATTEMPTS} attempts: {last_error}"
         )
+
+    def _post_many(self, bodies: list[dict]) -> Iterator[dict]:
+        """The response documents of `bodies`, in input order.
+
+        Several bodies are posted concurrently on the shared fan-out
+        pool, and every post has finished before the first document is
+        yielded. Callers parse each document before taking the next, so
+        the first failing item in input order is the one raised,
+        whether its post or its parse failed. One body is posted on the
+        calling thread.
+        """
+        if len(bodies) == 1:
+            yield self._post(bodies[0])
+            return
+        futures = [_FANOUT.submit(self._post, body) for body in bodies]
+        concurrent.futures.wait(futures)
+        for future in futures:
+            yield future.result()
 
 
 class HttpCandidateGenerator(_HttpBase):
@@ -177,17 +235,29 @@ class HttpCandidateGenerator(_HttpBase):
     def generate_candidates(
         self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
     ) -> list:
-        prompt = self.config.prompt.replace("{view}", view.value)
-        body = substitute_template(
-            self.config.request_template,
-            {
-                "image": image_ref,
-                "prompt": prompt,
-                "temperature": cfg.temperature,
-                "n": cfg.num_candidates,
-            },
-        )
-        doc = self._post(body)
+        return self.generate_views([(view, image_ref)], cfg)[0]
+
+    def generate_views(
+        self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
+    ) -> list[list]:
+        bodies = [
+            substitute_template(
+                self.config.request_template,
+                {
+                    "image": image_ref,
+                    "prompt": self.config.prompt.replace("{view}", view.value),
+                    "temperature": cfg.temperature,
+                    "n": cfg.num_candidates,
+                },
+            )
+            for view, image_ref in items
+        ]
+        return [
+            self._candidates(view, doc, cfg)
+            for (view, _), doc in zip(items, self._post_many(bodies))
+        ]
+
+    def _candidates(self, view: Viewpoint, doc: dict, cfg: GenerationConfig) -> list:
         texts = extract_path(doc, self.config.texts_path)
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise MalformedProviderResponse(
@@ -230,10 +300,13 @@ class HttpEmbedder(_HttpBase):
 
     expected_dim: int | None = None  # fixed by the first response
 
-    def _embed(self, values: dict) -> EmbeddingVector:
-        doc = self._post(substitute_template(self.config.request_template, values))
+    def _embed_many(self, values: list[dict]) -> list[EmbeddingVector]:
+        bodies = [substitute_template(self.config.request_template, v) for v in values]
+        return [self._vector(doc) for doc in self._post_many(bodies)]
+
+    def _vector(self, doc: dict) -> EmbeddingVector:
         raw = extract_path(doc, self.config.embedding_path)
-        if not isinstance(raw, list) or not raw or not all(map(is_json_number, raw)):
+        if not is_json_vector(raw):
             raise MalformedProviderResponse(
                 f"{self.config.embedding_path!r} did not yield a vector of numbers"
             )
@@ -247,10 +320,16 @@ class HttpEmbedder(_HttpBase):
         return vec
 
     def embed_text(self, text: str) -> EmbeddingVector:
-        return self._embed({"text": text})
+        return self.embed_texts([text])[0]
+
+    def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
+        return self._embed_many([{"text": t} for t in texts])
 
     def embed_image(self, image_ref: str) -> EmbeddingVector:
-        return self._embed({"image": image_ref})
+        return self.embed_images([image_ref])[0]
+
+    def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
+        return self._embed_many([{"image": r} for r in image_refs])
 
     def embed_cloud(self, cloud: PointCloud) -> EmbeddingVector:
-        return self._embed({"cloud": cloud.points.tolist()})
+        return self._embed_many([{"cloud": cloud.points.tolist()}])[0]

@@ -112,6 +112,9 @@ class MockTextEmbedder:
                 return self.space.noisy_anchor(slug, f"text:{lowered}", self.noise_scale)
         return self.space.off_anchor(f"text:{lowered}")
 
+    def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
+        return [self.embed_text(t) for t in texts]
+
 
 class MockImageEmbedder:
     """Embeds an image reference near its concept's anchor."""
@@ -128,6 +131,9 @@ class MockImageEmbedder:
         self.calls += 1
         slug = concept_from_image_ref(image_ref)
         return self.space.noisy_anchor(slug, f"image:{image_ref}", self.noise_scale)
+
+    def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
+        return [self.embed_image(r) for r in image_refs]
 
 
 class MockCloudEmbedder:
@@ -218,6 +224,11 @@ class MockCandidateGenerator:
                 CandidateDraft(view=view, text=text, token_logprobs=logprobs, index=i)
             )
         return resolve_drafts(drafts)
+
+    def generate_views(
+        self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
+    ) -> list[list[CandidateDescription]]:
+        return [self.generate_candidates(view, ref, cfg) for view, ref in items]
 
 
 def build_mock_providers(

@@ -1,5 +1,7 @@
 import json
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from viewfuse.errors import CacheCorruption, CacheDirUnwritable
 from viewfuse.model import PointCloud, Viewpoint
 from viewfuse.providers import GenerationConfig, make_request
-from viewfuse.providers.cache import ResponseCache, wrap_with_cache
+from viewfuse.providers.cache import CachedTextEmbedder, ResponseCache, wrap_with_cache
 from viewfuse.providers.mock import build_mock_providers
 
 CFG = GenerationConfig(temperature=0.7, num_candidates=5)
@@ -151,6 +153,10 @@ DAMAGES = {
         "generate_candidates",
         lambda doc: {"candidates": [{**c, "text": 5} for c in doc["candidates"]]},
     ),
+    "short-list": ("generate_candidates", lambda doc: {"candidates": doc["candidates"][:-1]}),
+    "empty-list": ("generate_candidates", lambda doc: {"candidates": []}),
+    "string-component": ("embed_text", lambda doc: {"values": doc["values"][:-1] + ["0.5"]}),
+    "bool-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [True]}),
 }
 
 
@@ -171,3 +177,80 @@ def test_undecodable_entry_is_a_logged_miss_and_rewritten(tmp_path, caplog, dama
     assert getattr(backing, slot).calls == 2
     assert cache.stats() == {"hits": 0, "misses": 2}
     assert path.read_text() == stored
+
+
+def test_counters_stay_exact_under_thread_switching(tmp_path):
+    cache = ResponseCache(tmp_path)
+    reqs = [req({"i": i}) for i in range(4)]
+    for r in reqs:
+        cache.store(r, {"v": 1})
+    rounds, threads = 150, 8
+
+    def work():
+        for i in range(rounds):
+            cache.fetch(reqs[i % 4], lambda: {"v": 1}, dict)
+            cache.fetch_many(reqs, lambda misses: [{"v": 1}] * len(misses), dict)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert cache.stats() == {"hits": rounds * threads * (1 + len(reqs)), "misses": 0}
+
+
+class BatchSpy:
+    """Forwards to a mock embedder and records each batch it is given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_id = inner.model_id
+        self.batches = []
+
+    def embed_texts(self, texts):
+        self.batches.append(list(texts))
+        return self.inner.embed_texts(texts)
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_cached_batch_sends_only_misses_in_one_call(tmp_path):
+    texts = ["A mug.", "A red lamp.", "A vase.", "A chair.", "A red lamp."]
+    backing = build_mock_providers(seed=9)
+    one_by_one = wrap_with_cache(backing, ResponseCache(tmp_path / "single"))
+    expected = [one_by_one.text_embedder.embed_text(t) for t in texts]
+
+    cache = ResponseCache(tmp_path / "batch")
+    warm = wrap_with_cache(backing, cache)
+    warm.text_embedder.embed_text("A mug.")
+    warm.text_embedder.embed_text("A vase.")
+    spy = BatchSpy(backing.text_embedder)
+    cached = CachedTextEmbedder(spy, cache)
+
+    assert cached.embed_texts(texts) == expected
+    # a key repeated in the batch is fetched once; the repeat is a hit
+    assert spy.batches == [["A red lamp.", "A chair."]]
+    assert cache.stats() == {"hits": 3, "misses": 4}
+    assert _tree(tmp_path / "batch") == _tree(tmp_path / "single")
+
+    assert cached.embed_texts(texts) == expected
+    assert len(spy.batches) == 1  # all hits: no call at all
+
+
+def test_cached_generate_views_equals_one_call_per_view(tmp_path):
+    items = [(Viewpoint.FRONT, "mug__o__front.png"), (Viewpoint.TOP, "mug__o__top.png")]
+    backing = build_mock_providers(seed=9)
+    one_by_one = wrap_with_cache(backing, ResponseCache(tmp_path / "single"))
+    expected = [one_by_one.generator.generate_candidates(v, r, CFG) for v, r in items]
+    batched = wrap_with_cache(backing, ResponseCache(tmp_path / "batch"))
+    assert batched.generator.generate_views(items, CFG) == expected
+    assert batched.generator.generate_views(items, CFG) == expected
+    assert _tree(tmp_path / "batch") == _tree(tmp_path / "single")

@@ -173,6 +173,32 @@ def test_ply_body_error_message_and_offset(tmp_path, old, new, message, offset):
     assert err.value.offset == offset
 
 
+# The CRLF fixture is PLY_SIMPLE with two bytes per line ending: its
+# body starts at byte 134 (line 9) and its rows end at byte 175.
+@pytest.mark.parametrize(
+    "old, new, message, offset",
+    [
+        ("0.0 0.0 0.0", "0.0 0.0", "bad PLY vertex row: '0.0 0.0'", 134),
+        ("1.0 2.0 3.0", "1.0 abc 3.0", "bad PLY vertex row: '1.0 abc 3.0'", 147),
+        ("element vertex 3", "element vertex 5",
+         "PLY body truncated: expected 5 vertices, got 3", 175),
+        ("element vertex 3", "element vertex x", "bad vertex count: 'element vertex x'", 50),
+    ],
+    ids=["bad-9th-line", "bad-10th-line", "truncated", "bad-count"],
+)
+def test_ply_crlf_error_offsets_count_both_bytes(tmp_path, old, new, message, offset):
+    data = PLY_SIMPLE.replace(old, new).replace("\n", "\r\n").encode("ascii")
+    p = tmp_path / "cloud.ply"
+    p.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load_point_cloud(p)
+    assert str(err.value) == message
+    assert err.value.offset == offset
+    row = message.split(": ", 1)[1].strip("'")
+    if row in new:
+        assert data.index(row.encode("ascii")) == offset
+
+
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "0x1p3", "nan(1)"])
 def test_ply_token_outside_ascii_float_grammar_rejected(tmp_path, token):
     p = tmp_path / "cloud.ply"

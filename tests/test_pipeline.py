@@ -1,4 +1,6 @@
 import json
+import threading
+from dataclasses import fields
 
 import pytest
 
@@ -17,6 +19,7 @@ from viewfuse.pipeline import (
     run_pipeline,
     stable_seed,
 )
+from viewfuse.providers import ProviderSet
 from viewfuse.providers.mock import build_mock_providers
 from viewfuse.synthesis import ViewSelection, assemble_global
 
@@ -113,6 +116,57 @@ def test_warm_cache_performs_zero_provider_calls(corpus, tmp_path):
     assert backing2.text_embedder.calls == 0
     assert backing2.image_embedder.calls == 0
     assert backing2.cloud_embedder.calls == 0
+
+
+class WaveCounter:
+    """Forwards every provider method and logs (method, batch size)."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.model_id = inner.model_id
+        self.log = log
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+
+        def forward(*args):
+            first = args[0]
+            self.log.append((name, len(first) if isinstance(first, list) else 1))
+            return method(*args)
+
+        return forward
+
+
+def test_object_makes_one_call_wave_per_role(corpus):
+    cfg = PipelineConfig(seed=42)
+    [manifest] = [m for m in load_manifests(corpus) if m.object_id == "obj_000"]
+    mocks = build_mock_providers(seed=cfg.seed)
+    log = []
+    counted = ProviderSet(*(WaveCounter(getattr(mocks, f.name), log) for f in fields(ProviderSet)))
+    expected = annotate_object(manifest, cfg, mocks)
+    assert record_to_json(annotate_object(manifest, cfg, counted)) == record_to_json(expected)
+    n = len(VIEW_ORDER)
+    assert log == [
+        ("generate_views", n),
+        ("embed_images", n),
+        ("embed_texts", n * cfg.num_candidates),
+        ("embed_text", 1),
+        ("embed_cloud", 1),
+    ]
+
+
+def test_mock_and_warm_cache_runs_start_no_thread(corpus, tmp_path, monkeypatch):
+    cfg = PipelineConfig(seed=42, cache_dir=str(tmp_path / "cache"))
+    manifests = load_manifests(corpus)
+    run_pipeline(manifests, cfg, build_providers(cfg, mock=True, corpus_dir=corpus)[0])
+
+    def no_thread(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for c in (cfg, PipelineConfig(seed=42)):
+        records = run_pipeline(manifests, c, build_providers(c, mock=True, corpus_dir=corpus)[0])
+        assert all(r.status == "ok" for r in records)
 
 
 def test_record_is_replayable_from_its_own_doc(corpus):

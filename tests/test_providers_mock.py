@@ -70,6 +70,25 @@ def test_text_embedder_deterministic_and_counts_calls():
     assert emb.calls == 2
 
 
+def test_batches_equal_the_per_item_map_and_count_per_item():
+    batched, single = build_mock_providers(seed=3), build_mock_providers(seed=3)
+    texts = ["A mug.", "A lamp.", "A mug."]
+    refs = ["mug__o__front.png", "lamp__o__top.png"]
+    items = [(Viewpoint.FRONT, refs[0]), (Viewpoint.TOP, refs[1])]
+    assert batched.text_embedder.embed_texts(texts) == [
+        single.text_embedder.embed_text(t) for t in texts
+    ]
+    assert batched.image_embedder.embed_images(refs) == [
+        single.image_embedder.embed_image(r) for r in refs
+    ]
+    assert batched.generator.generate_views(items, CFG) == [
+        single.generator.generate_candidates(v, r, CFG) for v, r in items
+    ]
+    for slot in ("generator", "text_embedder", "image_embedder"):
+        assert getattr(batched, slot).calls == getattr(single, slot).calls > 0
+    assert batched.text_embedder.embed_texts([]) == []
+
+
 def test_text_embedder_rejects_empty():
     emb = MockTextEmbedder(ConceptSpace(dim=16))
     with pytest.raises(EmptyText):
