@@ -55,6 +55,7 @@ from .pipeline import (
     AnnotationRecord,
     annotate_object,
     record_to_doc,
+    replay_bandit,
     run_corpus,
     run_pipeline,
 )
@@ -124,6 +125,7 @@ __all__ = [
     "prioritize_front_back",
     "record_to_doc",
     "relevance_weights",
+    "replay_bandit",
     "run_corpus",
     "run_pipeline",
     "select_canonical",

@@ -31,6 +31,10 @@ class EmptyPointCloud(EngineError, ValueError):
     """Point cloud has zero points."""
 
 
+class DuplicateObjectId(EngineError, ValueError):
+    """Two or more manifests of one corpus claim the same object_id."""
+
+
 # Confidence
 
 class EmptyTokenList(EngineError, ValueError):

@@ -19,6 +19,9 @@ from .confidence import compute_raw_confidence
 from .errors import EmptyPointCloud, MissingViewpoint, ParseError
 
 DEFAULT_POINT_BUDGET = 10_000
+# leads the key of every record made for a manifest that was not
+# accepted, and no accepted object_id, so the two can never collide
+FAILURE_KEY_PREFIX = "@"
 
 
 class Viewpoint(enum.Enum):
@@ -366,6 +369,11 @@ def ingest_manifest(
     # an absolute path always holds a separator
     if object_id in (".", "..") or any(c in object_id for c in "/\\\0"):
         raise ParseError(f"object_id {object_id!r} is not a plain file name")
+    if object_id.startswith(FAILURE_KEY_PREFIX):
+        raise ParseError(
+            f"object_id {object_id!r} starts with {FAILURE_KEY_PREFIX!r}, "
+            "which is reserved for failure records"
+        )
 
     views_doc = doc.get("views")
     if not isinstance(views_doc, dict):

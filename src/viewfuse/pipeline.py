@@ -6,14 +6,18 @@ object's failure is recorded, not raised, so a bad manifest cannot
 abort a batch. Output records are a pure function of (corpus, config,
 seed) under the deterministic mock providers; wall-clock timings are
 therefore kept out of the per-object record files and reported in the
-run summary instead.
+run summary instead. `run_corpus` writes each record as soon as its
+object finishes, so an aborted run keeps the records it finished.
 """
 
 import hashlib
+import itertools
 import json
 import logging
+import os
 import random
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,9 +36,9 @@ from .bandit import (
 from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
 from .config import PipelineConfig
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, DuplicateObjectId, EngineError
 from .gating import GatingDecision, flagged_record, gate
-from .model import VIEW_ORDER, ObjectManifest, Viewpoint, ingest_manifest
+from .model import FAILURE_KEY_PREFIX, VIEW_ORDER, ObjectManifest, Viewpoint, ingest_manifest
 from .providers import GenerationConfig, ProviderSet
 from .providers.cache import ResponseCache, wrap_with_cache
 from .providers.http import HttpEmbedder, HttpCandidateGenerator, HttpProviderConfig
@@ -44,7 +48,7 @@ from .synthesis import GlobalAnnotation, ViewSelection, assemble_global
 
 logger = logging.getLogger(__name__)
 
-RECORD_SCHEMA_VERSION = 1
+RECORD_SCHEMA_VERSION = 2
 MOCK_TRUTH_FILENAME = "mock_truth.json"
 
 
@@ -244,18 +248,28 @@ def annotate_object(
     return record
 
 
+def iter_records(
+    corpus: list[ObjectManifest], cfg: PipelineConfig, providers: ProviderSet
+) -> Iterator[AnnotationRecord]:
+    """Annotate every manifest, yielding each record in corpus order.
+
+    With `workers > 1` objects run on a thread pool, but records are
+    still yielded on the calling thread. An error that is not an
+    EngineError propagates, and objects not yet started are cancelled.
+    """
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            yield from pool.map(lambda m: annotate_object(m, cfg, providers), corpus)
+    else:
+        for manifest in corpus:
+            yield annotate_object(manifest, cfg, providers)
+
+
 def run_pipeline(
     corpus: list[ObjectManifest], cfg: PipelineConfig, providers: ProviderSet
 ) -> list[AnnotationRecord]:
     """Annotate every manifest; output sorted by object_id."""
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(
-                pool.map(lambda m: annotate_object(m, cfg, providers), corpus)
-            )
-    else:
-        records = [annotate_object(m, cfg, providers) for m in corpus]
-    return sorted(records, key=lambda r: r.object_id)
+    return sorted(iter_records(corpus, cfg, providers), key=lambda r: r.object_id)
 
 
 def _scored_to_doc(c: ScoredCandidate, logprobs: tuple[float, ...]) -> dict:
@@ -272,11 +286,23 @@ def _scored_to_doc(c: ScoredCandidate, logprobs: tuple[float, ...]) -> dict:
     }
 
 
+def _bandit_to_doc(b: BanditTrace) -> dict:
+    # the per-round trace is left out: replay_bandit rebuilds it
+    return {
+        "strategy": b.strategy,
+        "rounds": b.rounds,
+        "arm_candidate_indices": b.arm_candidate_indices,
+        "pulls": b.pulls,
+        "selected_candidate_index": b.selected_candidate_index,
+    }
+
+
 def record_to_doc(record: AnnotationRecord) -> dict:
     """Canonical JSON form of a record.
 
     Deliberately excludes wall-clock timings so identical runs produce
     byte-identical files; timings are aggregated in the run summary.
+    The bandit's per-round trace is excluded too (see replay_bandit).
     """
     if record.status != "ok":
         return {
@@ -292,19 +318,13 @@ def record_to_doc(record: AnnotationRecord) -> dict:
     views_doc = {}
     for vr in record.views:
         views_doc[vr.view.value] = {
+            "view": vr.view.value,
             "image_ref": vr.image_ref,
             "candidates": [
                 _scored_to_doc(c, vr.token_logprobs[i])
                 for i, c in enumerate(vr.candidates)
             ],
-            "bandit": {
-                "strategy": vr.bandit.strategy,
-                "rounds": vr.bandit.rounds,
-                "arm_candidate_indices": vr.bandit.arm_candidate_indices,
-                "pulls": vr.bandit.pulls,
-                "trace": vr.bandit.trace,
-                "selected_candidate_index": vr.bandit.selected_candidate_index,
-            },
+            "bandit": _bandit_to_doc(vr.bandit),
             "selection": {"text": vr.selection.text, "score": vr.selection.score},
         }
     ga = record.global_annotation
@@ -336,7 +356,40 @@ def record_to_doc(record: AnnotationRecord) -> dict:
 
 
 def record_to_json(record: AnnotationRecord) -> str:
-    return json.dumps(record_to_doc(record), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """One line: sorted keys, no whitespace, so stdlib's C encoder runs."""
+    doc = record_to_doc(record)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def replay_bandit(view_doc: dict, cfg: PipelineConfig, object_id: str) -> list[dict]:
+    """The per-round bandit trace of one view of a record, rebuilt.
+
+    Reruns `_run_bandit` on the arms' stored composite scores with the
+    view's own RNG stream. `cfg` must be the configuration the record
+    was made with; a replay whose strategy, rounds, pulls or pick
+    differ from the record's raises ConfigError.
+    """
+    view = Viewpoint.from_string(view_doc["view"])
+    scored = [
+        ScoredCandidate(
+            view=view,
+            index=c["index"],
+            text=c["text"],
+            cluster_id=c["cluster_id"],
+            raw_confidence=c["raw_confidence"],
+            normalized_confidence=c["normalized_confidence"],
+            relevance_weight=c["relevance_weight"],
+            composite_score=c["composite_score"],
+        )
+        for c in view_doc["candidates"]
+    ]
+    rng = random.Random(stable_seed("bandit", cfg.seed, object_id, view.value))
+    replayed = _run_bandit(scored, view_doc["bandit"]["arm_candidate_indices"], cfg, rng)
+    if _bandit_to_doc(replayed) != view_doc["bandit"]:
+        raise ConfigError(
+            f"{object_id} view {view.value}: record was not made with this configuration"
+        )
+    return replayed.trace
 
 
 def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[list[ObjectManifest], list[AnnotationRecord]]:
@@ -344,34 +397,51 @@ def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[li
 
     Returns (manifests, failure_records). Any *.json file directly in
     the directory is treated as a manifest, except the mock truth
-    sidecar. A manifest that fails to parse becomes a failed record
-    keyed by its file stem.
+    sidecar. A manifest that fails to parse, and every manifest whose
+    object_id another manifest also claims, becomes a failed record
+    keyed by FAILURE_KEY_PREFIX plus its file stem. No accepted id
+    starts with that prefix, so every record key of a corpus is unique.
     """
     corpus_dir = Path(corpus_dir)
     if not corpus_dir.is_dir():
         raise ConfigError(f"corpus directory {corpus_dir} does not exist")
-    manifests: list[ObjectManifest] = []
+    claims: dict[str, list[tuple[Path, ObjectManifest]]] = {}
     failures: list[AnnotationRecord] = []
+
+    def reject(path: Path, e: EngineError) -> None:
+        logger.warning("manifest %s rejected: %s", path.name, e)
+        failures.append(
+            AnnotationRecord(
+                object_id=FAILURE_KEY_PREFIX + path.stem,
+                status="failed",
+                error=f"{type(e).__name__}: {e}",
+            )
+        )
+
     for path in sorted(corpus_dir.glob("*.json")):
         if path.name == MOCK_TRUTH_FILENAME:
             continue
         try:
-            manifests.append(
-                ingest_manifest(
-                    path,
-                    point_budget=cfg.point_budget,
-                    seed=stable_seed("downsample", cfg.seed, path.stem),
-                )
+            manifest = ingest_manifest(
+                path,
+                point_budget=cfg.point_budget,
+                seed=stable_seed("downsample", cfg.seed, path.stem),
             )
         except EngineError as e:
-            logger.warning("manifest %s rejected: %s", path.name, e)
-            failures.append(
-                AnnotationRecord(
-                    object_id=path.stem,
-                    status="failed",
-                    error=f"{type(e).__name__}: {e}",
-                )
-            )
+            reject(path, e)
+            continue
+        claims.setdefault(manifest.object_id, []).append((path, manifest))
+
+    manifests: list[ObjectManifest] = []
+    for object_id, claimants in claims.items():
+        if len(claimants) == 1:
+            manifests.append(claimants[0][1])
+            continue
+        names = ", ".join(path.name for path, _ in claimants)
+        for path, _ in claimants:
+            reject(path, DuplicateObjectId(
+                f"object_id {object_id!r} is claimed by {len(claimants)} manifests: {names}"
+            ))
     return manifests, failures
 
 
@@ -419,43 +489,66 @@ def _http_config(doc: dict) -> HttpProviderConfig:
         raise ConfigError(f"bad provider config: {e}") from None
 
 
-def write_outputs(
-    records: list[AnnotationRecord],
-    out_dir: str | Path,
-    cfg: PipelineConfig,
-    cache: ResponseCache | None = None,
-) -> dict:
-    """Persist records, the flagged export, and the run summary."""
-    out_dir = Path(out_dir)
-    records_dir = out_dir / "records"
-    records_dir.mkdir(parents=True, exist_ok=True)
+@dataclass
+class RunTally:
+    """What the run summary needs of the records already written."""
 
-    flagged = []
-    stage_totals: dict[str, float] = {}
-    for record in records:
-        (records_dir / f"{record.object_id}.json").write_text(
-            record_to_json(record), encoding="utf-8"
-        )
+    objects: int = 0
+    ok: int = 0
+    flagged: list[dict] = field(default_factory=list)
+    stage_totals: dict[str, float] = field(default_factory=dict)
+
+    def add(self, record: AnnotationRecord) -> None:
+        self.objects += 1
         for stage, seconds in record.stage_timings.items():
-            stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
-        if record.status == "ok" and not record.gating.passed:
-            flagged.append(
+            self.stage_totals[stage] = self.stage_totals.get(stage, 0.0) + seconds
+        if record.status != "ok":
+            return
+        self.ok += 1
+        if not record.gating.passed:
+            self.flagged.append(
                 flagged_record(
                     record.object_id, record.gating, record.global_annotation.full_text
                 )
             )
 
-    flagged_path = out_dir / "flagged.jsonl"
-    with flagged_path.open("w", encoding="utf-8") as f:
+
+def write_record(record: AnnotationRecord, records_dir: Path) -> None:
+    """Write records/<object_id>.json through a temp file and a rename.
+
+    A failed encode writes nothing, and a failed write or rename removes
+    the temp file, so a reader never sees a partial record.
+    """
+    text = record_to_json(record)
+    path = records_dir / f"{record.object_id}.json"
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_outputs(
+    tally: RunTally,
+    out_dir: str | Path,
+    cfg: PipelineConfig,
+    cache: ResponseCache | None = None,
+) -> dict:
+    """Write the flagged export and the run summary once every record is written."""
+    out_dir = Path(out_dir)
+    flagged = sorted(tally.flagged, key=lambda doc: doc["object_id"])
+    with (out_dir / "flagged.jsonl").open("w", encoding="utf-8") as f:
         for doc in flagged:
             f.write(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
 
     summary = {
-        "objects": len(records),
-        "ok": sum(1 for r in records if r.status == "ok"),
-        "failed": sum(1 for r in records if r.status == "failed"),
+        "objects": tally.objects,
+        "ok": tally.ok,
+        "failed": tally.objects - tally.ok,
         "flagged": len(flagged),
-        "stage_seconds": {k: round(v, 6) for k, v in sorted(stage_totals.items())},
+        "stage_seconds": {k: round(v, 6) for k, v in sorted(tally.stage_totals.items())},
         "cache": cache.stats() if cache is not None else None,
         "config": cfg.to_dict(),
     }
@@ -472,9 +565,17 @@ def run_corpus(
     mock: bool,
     out_dir: str | Path,
 ) -> dict:
-    """The full batch: ingest, annotate, persist. Returns the summary."""
+    """The full batch: ingest, annotate, persist. Returns the summary.
+
+    Each record is written as soon as its object finishes; the flagged
+    export and the summary follow once every object is done.
+    """
     manifests, failures = load_corpus_entries(corpus_dir, cfg)
     providers, _backing, cache = build_providers(cfg, mock=mock, corpus_dir=corpus_dir)
-    records = run_pipeline(manifests, cfg, providers)
-    records = sorted(records + failures, key=lambda r: r.object_id)
-    return write_outputs(records, out_dir, cfg, cache=cache)
+    records_dir = Path(out_dir) / "records"
+    records_dir.mkdir(parents=True, exist_ok=True)
+    tally = RunTally()
+    for record in itertools.chain(failures, iter_records(manifests, cfg, providers)):
+        write_record(record, records_dir)
+        tally.add(record)
+    return write_outputs(tally, out_dir, cfg, cache=cache)

@@ -1,8 +1,10 @@
 """On-disk JSON cache for provider responses.
 
-One human-readable file per logical request, laid out as
-<cache_dir>/<kind>/<cache_key>.json. Writes go through a temp file and
-an atomic rename, so concurrent writers of the same key are safe.
+One JSON file per logical request, laid out as
+<cache_dir>/<kind>/<cache_key>.json and written on one line with sorted
+keys and no whitespace; any valid JSON layout of an entry reads back the
+same. Writes go through a temp file and an atomic rename, so concurrent
+writers of the same key are safe.
 A damaged entry, unreadable or not decodable to the cached type, is a
 miss: the backing provider is invoked again and the entry rewritten.
 A batch call keeps one entry per item: its hits are read one by one,
@@ -61,12 +63,15 @@ class ResponseCache:
 
     def store(self, req: ProviderRequest, payload: dict) -> None:
         path = self._path(req)
+        # json.dumps, not json.dump: only a one-shot encode without indent
+        # takes stdlib's C encoder
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    json.dump(payload, f, sort_keys=True, indent=2, ensure_ascii=False)
+                    f.write(text)
                 os.replace(tmp, path)
             except BaseException:
                 try:

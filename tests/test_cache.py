@@ -43,6 +43,32 @@ def test_cache_file_layout_and_readability(tmp_path):
     assert json.loads(path.read_text()) == {"v": [1.0, 2.0]}
 
 
+def test_entries_are_written_compact(tmp_path):
+    cache = ResponseCache(tmp_path)
+    r = req(kind="embed_text")
+    payload = {"values": [0.1, -2.5e-07, 1e16], "model": "mé"}
+    cache.store(r, payload)
+    text = (tmp_path / "embed_text" / f"{r.cache_key}.json").read_text(encoding="utf-8")
+    assert text == '{"model":"mé","values":[0.1,-2.5e-07,1e+16]}'
+    assert list((tmp_path / "embed_text").iterdir()) == [tmp_path / "embed_text" / f"{r.cache_key}.json"]
+
+
+def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
+    providers = build_mock_providers(seed=9)
+    writer = ResponseCache(tmp_path)
+    expected = wrap_with_cache(providers, writer).text_embedder.embed_text("A mug.")
+    [path] = (tmp_path / "embed_text").iterdir()
+    compact = path.read_text(encoding="utf-8")
+    path.write_text(json.dumps(json.loads(compact), sort_keys=True, indent=2), encoding="utf-8")
+    assert "\n  " in path.read_text(encoding="utf-8")
+
+    fresh = build_mock_providers(seed=9)
+    reader = ResponseCache(tmp_path)
+    assert wrap_with_cache(fresh, reader).text_embedder.embed_text("A mug.") == expected
+    assert fresh.text_embedder.calls == 0
+    assert reader.stats() == {"hits": 1, "misses": 0}
+
+
 def test_corrupted_entry_repaired(tmp_path):
     cache = ResponseCache(tmp_path)
     r = req()

@@ -207,7 +207,7 @@ def test_corrupt_manifest_becomes_failure_entry(tmp_path):
     manifests, failures = load_corpus_entries(tmp_path, cfg)
     assert len(manifests) == 3
     assert len(failures) == 1
-    assert failures[0].object_id == "obj_zz_broken"
+    assert failures[0].object_id == "@obj_zz_broken"
     assert failures[0].status == "failed"
     assert "ParseError" in failures[0].error
 
@@ -231,10 +231,10 @@ def test_path_escaping_object_id_becomes_failure_keyed_by_stem(tmp_path):
         "flagged.jsonl", "records", "run_summary.json",
     ]
     assert sorted(p.name for p in (out_dir / "records").iterdir()) == [
-        "obj_000.json", "obj_001.json", "obj_zz_evil.json",
+        "@obj_zz_evil.json", "obj_000.json", "obj_001.json",
     ]
     assert (summary["ok"], summary["failed"]) == (2, 1)
-    failed = json.loads((out_dir / "records" / "obj_zz_evil.json").read_text())
+    failed = json.loads((out_dir / "records" / "@obj_zz_evil.json").read_text())
     assert failed["status"] == "failed"
     assert failed["error"].startswith("ParseError: object_id '../escape'")
 
@@ -254,7 +254,7 @@ def test_malformed_json_cloud_becomes_failure_entry(tmp_path):
     summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
 
     assert (summary["ok"], summary["failed"]) == (2, 1)
-    failed = json.loads((out_dir / "records" / "obj_zz_bad_cloud.json").read_text())
+    failed = json.loads((out_dir / "records" / "@obj_zz_bad_cloud.json").read_text())
     assert failed["status"] == "failed"
     assert failed["error"] == "ParseError: JSON point cloud row 1 is not three numbers"
 
@@ -275,7 +275,7 @@ def test_run_corpus_writes_all_outputs(tmp_path):
 
     records = sorted(p.name for p in (out_dir / "records").iterdir())
     assert records == [
-        "obj_000.json", "obj_001.json", "obj_002.json", "obj_003.json", "obj_zz_bad.json",
+        "@obj_zz_bad.json", "obj_000.json", "obj_001.json", "obj_002.json", "obj_003.json",
     ]
     flagged = [json.loads(l) for l in (out_dir / "flagged.jsonl").read_text().splitlines()]
     assert [f["object_id"] for f in flagged] == ["obj_001"]
