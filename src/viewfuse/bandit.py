@@ -70,28 +70,13 @@ def ucb1_select(state: BanditState) -> int:
     return best_arm
 
 
-def update_mean(
-    state: BanditState,
-    arm: int,
-    reward: RewardSignal,
-    ema_rate: float | None = None,
-) -> BanditState:
-    """Record one observation on `arm` and return the state.
-
-    Default is the exact incremental mean. Passing ema_rate switches to
-    an exponential moving average at that rate (pull counts still
-    advance), for configurations that favor recency.
-    """
+def update_mean(state: BanditState, arm: int, reward: RewardSignal) -> BanditState:
+    """Fold one observation into `arm`'s exact running mean; return the state."""
     if not 0 <= arm < state.arm_count:
         raise InvalidArm(f"arm {arm} outside [0, {state.arm_count})")
     state.pulls[arm] += 1
     n = state.pulls[arm]
-    if ema_rate is None:
-        state.means[arm] = ((n - 1) * state.means[arm] + reward.value) / n
-    elif n == 1:
-        state.means[arm] = reward.value
-    else:
-        state.means[arm] = (1.0 - ema_rate) * state.means[arm] + ema_rate * reward.value
+    state.means[arm] = ((n - 1) * state.means[arm] + reward.value) / n
     state.total_rounds += 1
     return state
 

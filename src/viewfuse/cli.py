@@ -212,6 +212,8 @@ def _cmd_bandit_simulate(args) -> int:
     seeds = _parse_int_list(args.seeds)
     if not seeds:
         raise ConfigError("--seeds must list at least one integer")
+    if args.rounds < 1:
+        raise ConfigError("--rounds must be >= 1")
     runs = simulate_strategies(env, strategies, seeds, rounds=args.rounds)
     csv = runs_to_csv(runs)
     if args.out:

@@ -28,8 +28,6 @@ class PipelineConfig:
     epsilon: float = 0.1
     thompson_prior_alpha: float = 0.1
     thompson_prior_beta: float = 1.0
-    use_ema_update: bool = False
-    ema_rate: float = 0.1
     num_candidates: int = 5
     temperature: float = 0.7
     w_fb: float = 1.2
@@ -53,7 +51,6 @@ class PipelineConfig:
             (0.0 <= self.epsilon <= 1.0, "epsilon must be in [0, 1]"),
             (self.thompson_prior_alpha > 0.0, "thompson_prior_alpha must be > 0"),
             (self.thompson_prior_beta > 0.0, "thompson_prior_beta must be > 0"),
-            (0.0 < self.ema_rate <= 1.0, "ema_rate must be in (0, 1]"),
             (self.num_candidates >= 1, "num_candidates must be >= 1"),
             (self.temperature >= 0.0, "temperature must be >= 0"),
             (self.w_fb >= 1.0, "w_fb must be >= 1"),
@@ -66,7 +63,7 @@ class PipelineConfig:
         for name in (
             "blend_ratio", "gate_threshold", "eps", "exploration_weight",
             "epsilon", "thompson_prior_alpha", "thompson_prior_beta",
-            "ema_rate", "temperature", "w_fb",
+            "temperature", "w_fb",
         ):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
@@ -93,9 +90,6 @@ class PipelineConfig:
                           "point_budget", "workers"):
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ConfigError(f"{f.name} must be an integer")
-            elif f.name == "use_ema_update":
-                if not isinstance(value, bool):
-                    raise ConfigError(f"{f.name} must be a boolean")
             elif f.name == "strategy":
                 if not isinstance(value, str):
                     raise ConfigError("strategy must be a string")

@@ -17,9 +17,11 @@ import logging
 import os
 import random
 import time
-from collections.abc import Iterator
+from collections import Counter
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .bandit import (
@@ -92,6 +94,56 @@ class AnnotationRecord:
     stage_timings: dict = field(default_factory=dict)
 
 
+def run_bandit(
+    cfg: PipelineConfig,
+    reward: Callable[[int], RewardSignal],
+    arm_count: int,
+    rng: random.Random,
+) -> list[tuple[int, float]]:
+    """`cfg.rounds` rounds of `cfg.strategy` over `arm_count` arms.
+
+    Each round picks an arm, observes `reward(arm)` and updates the
+    policy with it; the result is the (arm, reward value) of each round.
+    The selection and update functions are looked up in this module's
+    namespace as the run starts, so wrappers installed there see every
+    round.
+    """
+    if cfg.strategy == "thompson":
+        posterior = ThompsonState(
+            arm_count=arm_count,
+            prior_alpha=cfg.thompson_prior_alpha,
+            prior_beta=cfg.thompson_prior_beta,
+        )
+        select = partial(thompson_select, posterior, rng)
+        update = partial(thompson_update, posterior, rng=rng)
+    else:
+        state = BanditState(arm_count=arm_count, exploration_weight=cfg.exploration_weight)
+        if cfg.strategy == "ucb1":
+            select = partial(ucb1_select, state)
+        else:
+            select = partial(epsilon_greedy_select, state, cfg.epsilon, rng)
+        update = partial(update_mean, state)
+
+    history = []
+    for _ in range(cfg.rounds):
+        arm = select()
+        signal = reward(arm)
+        update(arm, signal)
+        history.append((arm, signal.value))
+    return history
+
+
+def pull_counts(history: list[tuple[int, float]], arm_count: int) -> list[int]:
+    """How often each arm was pulled in a `run_bandit` history."""
+    counts = Counter(arm for arm, _ in history)
+    return [counts[a] for a in range(arm_count)]
+
+
+def most_pulled(pulls: list[int]) -> int:
+    """The arm pulled most often; ties go to the lowest index."""
+    return pulls.index(max(pulls))
+
+
 def _run_bandit(
     scored: list[ScoredCandidate],
     reps: list[int],
@@ -99,49 +151,19 @@ def _run_bandit(
     rng: random.Random,
 ) -> BanditTrace:
     """R rounds of selection among canonical arms; emit the most-pulled."""
-    arms = [scored[i] for i in reps]
-    rewards = [compute_reward(a) for a in arms]
-    k = len(arms)
-    trace: list[dict] = []
-
-    if cfg.strategy == "thompson":
-        state = ThompsonState(
-            arm_count=k,
-            prior_alpha=cfg.thompson_prior_alpha,
-            prior_beta=cfg.thompson_prior_beta,
-        )
-        pulls = [0] * k
-        for r in range(1, cfg.rounds + 1):
-            arm = thompson_select(state, rng)
-            thompson_update(state, arm, rewards[arm], rng)
-            pulls[arm] += 1
-            trace.append(
-                {"round": r, "arm": arm, "candidate_index": reps[arm],
-                 "reward": rewards[arm].value}
-            )
-    else:
-        state = BanditState(arm_count=k, exploration_weight=cfg.exploration_weight)
-        ema = cfg.ema_rate if cfg.use_ema_update else None
-        for r in range(1, cfg.rounds + 1):
-            if cfg.strategy == "ucb1":
-                arm = ucb1_select(state)
-            else:
-                arm = epsilon_greedy_select(state, cfg.epsilon, rng)
-            update_mean(state, arm, rewards[arm], ema_rate=ema)
-            trace.append(
-                {"round": r, "arm": arm, "candidate_index": reps[arm],
-                 "reward": rewards[arm].value}
-            )
-        pulls = list(state.pulls)
-
-    best_arm = max(range(k), key=lambda a: (pulls[a], -a))
+    rewards = [compute_reward(scored[i]) for i in reps]
+    history = run_bandit(cfg, rewards.__getitem__, len(reps), rng)
+    pulls = pull_counts(history, len(reps))
     return BanditTrace(
         strategy=cfg.strategy,
         rounds=cfg.rounds,
         arm_candidate_indices=list(reps),
         pulls=pulls,
-        trace=trace,
-        selected_candidate_index=reps[best_arm],
+        trace=[
+            {"round": r, "arm": arm, "candidate_index": reps[arm], "reward": value}
+            for r, (arm, value) in enumerate(history, start=1)
+        ],
+        selected_candidate_index=reps[most_pulled(pulls)],
     )
 
 

@@ -14,7 +14,6 @@ and only its misses go to the backing provider, in one batch call.
 import json
 import logging
 import os
-import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Callable
@@ -68,9 +67,11 @@ class ResponseCache:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            # one temp name per writer, as two threads may store one key;
+            # a plain open leaves the mode to the umask, as for the records
+            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
+                with open(tmp, "x", encoding="utf-8") as f:
                     f.write(text)
                 os.replace(tmp, path)
             except BaseException:

@@ -8,25 +8,17 @@ excludes wall-clock time so identical invocations produce identical
 bytes (wall time is reported separately).
 """
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import (
-    BanditState,
-    RewardSignal,
-    ThompsonState,
-    epsilon_greedy_select,
-    thompson_select,
-    thompson_update,
-    ucb1_select,
-    update_mean,
-)
-from .config import STRATEGIES
+from .bandit import RewardSignal
+from .config import STRATEGIES, PipelineConfig
 from .errors import EmptyInput, OutOfRangeArgument, UnknownStrategy
-from .pipeline import stable_seed
+from .pipeline import most_pulled, pull_counts, run_bandit, stable_seed
 from .scoring import composite_score
 
 FINAL_WINDOW = 1_000
@@ -110,57 +102,36 @@ def run_strategy(
     if rounds < 1:
         raise OutOfRangeArgument("rounds must be >= 1")
 
+    cfg = PipelineConfig(
+        strategy=strategy,
+        rounds=rounds,
+        exploration_weight=exploration_weight,
+        epsilon=epsilon,
+        thompson_prior_alpha=prior_alpha,
+        thompson_prior_beta=prior_beta,
+    )
     rng_env = random.Random(stable_seed("sim-env", seed))
     rng_policy = random.Random(stable_seed("sim-policy", strategy, seed))
-    k = len(env.means)
-    best_arm = env.best_arm
-    best_mean = env.best_mean
-    checkpoints = _checkpoints(rounds)
+    best_arm, best_mean = env.best_arm, env.best_mean
 
-    if strategy == "thompson":
-        tstate = ThompsonState(
-            arm_count=k, prior_alpha=prior_alpha, prior_beta=prior_beta
-        )
-    else:
-        state = BanditState(arm_count=k, exploration_weight=exploration_weight)
-
-    total_reward = 0.0
-    regret = 0.0
-    regret_at: dict[int, float] = {}
-    window = max(0, rounds - FINAL_WINDOW)
-    best_in_window = 0
+    def payout(arm: int) -> RewardSignal:
+        return RewardSignal(1.0 if rng_env.random() < env.means[arm] else 0.0)
 
     started = time.perf_counter()
-    for t in range(1, rounds + 1):
-        if strategy == "ucb1":
-            arm = ucb1_select(state)
-        elif strategy == "epsilon_greedy":
-            arm = epsilon_greedy_select(state, epsilon, rng_policy)
-        else:
-            arm = thompson_select(tstate, rng_policy)
-        payout = 1.0 if rng_env.random() < env.means[arm] else 0.0
-        signal = RewardSignal(value=payout)
-        if strategy == "thompson":
-            thompson_update(tstate, arm, signal, rng_policy)
-        else:
-            update_mean(state, arm, signal)
-        total_reward += payout
-        regret += best_mean - env.means[arm]
-        if arm == best_arm and t > window:
-            best_in_window += 1
-        if t in checkpoints:
-            regret_at[t] = regret
+    history = run_bandit(cfg, payout, len(env.means), rng_policy)
     wall = time.perf_counter() - started
+    regret = list(itertools.accumulate(best_mean - env.means[arm] for arm, _ in history))
+    window = history[max(0, rounds - FINAL_WINDOW):]
 
     return StrategyRun(
         strategy=strategy,
         seed=seed,
         rounds=rounds,
-        mean_reward=total_reward / rounds,
-        final_regret=regret,
-        regret_at=regret_at,
+        mean_reward=sum(value for _, value in history) / rounds,
+        final_regret=regret[-1],
+        regret_at={t: regret[t - 1] for t in _checkpoints(rounds)},
         best_arm=best_arm,
-        best_arm_frequency=best_in_window / min(FINAL_WINDOW, rounds),
+        best_arm_frequency=sum(arm == best_arm for arm, _ in window) / len(window),
         wall_seconds=wall,
     )
 
@@ -248,13 +219,15 @@ def selection_experiment(
 
     Each synthetic object gets `arms` candidates with drawn confidence
     and relevance; both selectors see identical composite scores. The
-    bandit runs the real selection loop with deterministic rewards and
-    keeps its most-pulled arm.
+    bandit runs the engine's own loop, `pipeline.run_bandit`, with UCB1
+    and deterministic rewards, and keeps its most-pulled arm.
     """
+    cfg = PipelineConfig(strategy="ucb1", rounds=rounds, exploration_weight=exploration_weight)
     per_seed = []
     for seed in seeds:
         draw = np.random.default_rng(stable_seed("selection-exp", seed))
         uniform_rng = random.Random(stable_seed("selection-uniform", seed))
+        policy_rng = random.Random(stable_seed("selection-policy", seed))  # UCB1 draws none
         bandit_total = 0.0
         uniform_total = 0.0
         for _ in range(num_objects):
@@ -265,11 +238,9 @@ def selection_experiment(
                 composite_score(float(confs[a]), float(rel[a]), blend_ratio)
                 for a in range(arms)
             ]
-            state = BanditState(arm_count=arms, exploration_weight=exploration_weight)
-            for _t in range(rounds):
-                arm = ucb1_select(state)
-                update_mean(state, arm, RewardSignal(value=scores[arm]))
-            chosen = max(range(arms), key=lambda a: (state.pulls[a], -a))
+            rewards = [RewardSignal(score) for score in scores]
+            history = run_bandit(cfg, rewards.__getitem__, arms, policy_rng)
+            chosen = most_pulled(pull_counts(history, arms))
             bandit_total += scores[chosen]
             uniform_total += scores[uniform_rng.randrange(arms)]
         per_seed.append(

@@ -140,15 +140,6 @@ def test_bookkeeping_property(updates):
     assert sum(state.pulls) == state.total_rounds == len(updates)
 
 
-def test_ema_update_tracks_recency():
-    state = BanditState(arm_count=1)
-    update_mean(state, 0, RewardSignal(0.5), ema_rate=0.1)
-    assert state.means[0] == 0.5  # first observation seeds the average
-    update_mean(state, 0, RewardSignal(1.0), ema_rate=0.1)
-    assert state.means[0] == pytest.approx(0.9 * 0.5 + 0.1 * 1.0, abs=1e-12)
-    assert state.pulls[0] == 2
-
-
 def test_epsilon_zero_always_exploits():
     state = BanditState(arm_count=3, pulls=[1, 1, 1], means=[0.1, 0.8, 0.3], total_rounds=3)
     rng = random.Random(0)

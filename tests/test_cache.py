@@ -1,5 +1,7 @@
 import json
 import logging
+import os
+import stat
 import sys
 import threading
 
@@ -51,6 +53,46 @@ def test_entries_are_written_compact(tmp_path):
     text = (tmp_path / "embed_text" / f"{r.cache_key}.json").read_text(encoding="utf-8")
     assert text == '{"model":"mé","values":[0.1,-2.5e-07,1e+16]}'
     assert list((tmp_path / "embed_text").iterdir()) == [tmp_path / "embed_text" / f"{r.cache_key}.json"]
+
+
+def test_entries_get_the_mode_the_umask_gives(tmp_path):
+    # a cache_dir shared between accounts must be readable by all of them
+    old = os.umask(0o022)
+    try:
+        cache = ResponseCache(tmp_path)
+        r = req()
+        cache.store(r, {"v": 1})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(cache._path(r).stat().st_mode) == 0o644
+
+
+def test_writers_of_one_key_do_not_collide(tmp_path):
+    cache = ResponseCache(tmp_path)
+    r = req()
+    errors = []
+
+    def work(i):
+        try:
+            for _ in range(50):
+                cache.store(r, {"writer": i})
+        except Exception as e:  # a thread's exception would not reach the test
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert cache.load(r)["writer"] in range(8)
+    assert list((tmp_path / "generate").iterdir()) == [cache._path(r)]
 
 
 def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):

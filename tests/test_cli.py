@@ -98,6 +98,17 @@ def test_bandit_simulate_unknown_strategy_exit_2(capsys, tmp_path):
     assert "sarsa" in err
 
 
+def test_bandit_simulate_rounds_below_one_exit_2(capsys, tmp_path):
+    env_file = tmp_path / "env.json"
+    env_file.write_text("[0.5, 0.6]")
+    code, out, err = run(
+        capsys, "bandit", "simulate", "--env", str(env_file), "--rounds", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "--rounds" in err
+
+
 def test_bandit_simulate_bad_env_file_exit_2(capsys, tmp_path):
     env_file = tmp_path / "env.json"
     env_file.write_text("{broken")

@@ -35,6 +35,10 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as err:
         PipelineConfig.from_dict({"blend_ratios": 0.5})
     assert "blend_ratios" in str(err.value)
+    # removed options fail loudly rather than being ignored
+    for removed in ({"use_ema_update": True}, {"ema_rate": 0.1}):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            PipelineConfig.from_dict(removed)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +55,7 @@ def test_unknown_keys_rejected():
         {"rounds": 0},
         {"epsilon": 1.5},
         {"thompson_prior_alpha": 0.0},
-        {"ema_rate": 0.0},
+        {"thompson_prior_beta": 0.0},
         {"num_candidates": 0},
         {"temperature": -0.1},
         {"w_fb": 0.5},
@@ -71,7 +75,7 @@ def test_out_of_range_values_rejected(doc):
         {"rounds": True},
         {"blend_ratio": "0.2"},
         {"strategy": 7},
-        {"use_ema_update": "yes"},
+        {"seed": 1.5},
         {"providers": []},
         {"cache_dir": 5},
     ],

@@ -4,7 +4,8 @@ from dataclasses import fields
 
 import pytest
 
-from viewfuse.config import PipelineConfig
+import viewfuse.pipeline as pipeline
+from viewfuse.config import STRATEGIES, PipelineConfig
 from viewfuse.demo import build_demo_corpus
 from viewfuse.errors import ConfigError
 from viewfuse.gating import gate
@@ -153,6 +154,31 @@ def test_object_makes_one_call_wave_per_role(corpus):
         ("embed_text", 1),
         ("embed_cloud", 1),
     ]
+
+
+def test_bandit_calls_go_through_the_pipeline_namespace(corpus, monkeypatch):
+    # the benchmark's tracer times the bandit by wrapping these names on
+    # viewfuse.pipeline; a loop that bypassed them would read as zero time
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = (
+        "compute_reward", "ucb1_select", "update_mean", "epsilon_greedy_select",
+        "thompson_select", "thompson_update",
+    )
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    manifest = load_manifests(corpus)[0]
+    for strategy in STRATEGIES:
+        cfg = PipelineConfig(seed=42, strategy=strategy)
+        assert annotate_object(manifest, cfg, build_mock_providers(seed=42)).status == "ok"
+    assert sorted(calls) == sorted(names)
 
 
 def test_mock_and_warm_cache_runs_start_no_thread(corpus, tmp_path, monkeypatch):
