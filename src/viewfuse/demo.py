@@ -41,7 +41,6 @@ def build_demo_corpus(
     num_objects: int = 10,
     seed: int = 0,
     mismatched: list[int] | None = None,
-    concepts: tuple[str, ...] = DEFAULT_CONCEPTS,
 ) -> dict:
     """Create manifests + clouds + truth sidecar under out_dir.
 
@@ -65,7 +64,7 @@ def build_demo_corpus(
     mismatched_ids: list[str] = []
 
     for i in range(num_objects):
-        concept = concepts[i % len(concepts)]
+        concept = DEFAULT_CONCEPTS[i % len(DEFAULT_CONCEPTS)]
         object_id = f"obj_{i:03d}"
         rng = np.random.default_rng(stable_seed("demo-cloud", seed, object_id))
         points = np.round(rng.normal(0.0, 1.0, size=(DEMO_POINTS, 3)), 6)
@@ -87,7 +86,7 @@ def build_demo_corpus(
         if i in mismatched:
             # point the truth at the next concept over: cosine between
             # distinct concept anchors is near zero, far below the gate
-            truth[digest] = concepts[(i + 1) % len(concepts)]
+            truth[digest] = DEFAULT_CONCEPTS[(i + 1) % len(DEFAULT_CONCEPTS)]
             mismatched_ids.append(object_id)
         else:
             truth[digest] = concept

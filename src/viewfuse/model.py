@@ -299,14 +299,28 @@ def is_json_vector(value) -> bool:
     return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
 
 
+def _read_bytes(path: Path, what: str) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise ParseError(f"cannot read {what}: {e.strerror or e}") from None
+
+
+def _decode_utf8(data: bytes, what: str) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what} is not UTF-8: {e.reason}", offset=e.start) from None
+
+
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Load a cloud from ascii PLY or a flat JSON [[x, y, z], ...] array of numbers."""
     path = Path(path)
-    data = path.read_bytes()
+    data = _read_bytes(path, f"point cloud {path.name}")
     if path.suffix.lower() == ".ply" or data[:4] == b"ply\n" or data[:5] == b"ply\r\n":
         return PointCloud(_parse_ply(data))
     try:
-        parsed = json.loads(data.decode("utf-8"))
+        parsed = json.loads(_decode_utf8(data, "point cloud"))
     except json.JSONDecodeError as e:
         raise ParseError(f"point cloud is neither PLY nor JSON: {e.msg}", offset=e.pos) from None
     if not isinstance(parsed, list):
@@ -332,26 +346,16 @@ def downsample(cloud: PointCloud, budget: int, seed: int) -> PointCloud:
 
 
 def ingest_manifest(
-    path_or_bytes: str | Path | bytes,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    seed: int = 0,
+    path: str | Path, point_budget: int = DEFAULT_POINT_BUDGET, seed: int = 0
 ) -> ObjectManifest:
     """Parse, validate, and load one object manifest.
 
-    Accepts a file path or raw JSON bytes. Relative point-cloud paths
-    resolve against the manifest file's directory (or the working
-    directory for byte input).
+    Relative point-cloud paths resolve against the manifest's directory.
+    A file that cannot be read or decoded raises ParseError.
     """
-    if isinstance(path_or_bytes, bytes):
-        raw = path_or_bytes
-        base_dir = Path.cwd()
-    else:
-        path = Path(path_or_bytes)
-        raw = path.read_bytes()
-        base_dir = path.parent
-
+    path = Path(path)
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(_decode_utf8(_read_bytes(path, "manifest"), "manifest"))
     except json.JSONDecodeError as e:
         raise ParseError(f"manifest is not valid JSON: {e.msg}", offset=e.pos) from None
     if not isinstance(doc, dict):
@@ -396,7 +400,7 @@ def ingest_manifest(
         raise ParseError("point_cloud must be a non-empty path string")
     cloud_path = Path(cloud_ref)
     if not cloud_path.is_absolute():
-        cloud_path = base_dir / cloud_path
+        cloud_path = path.parent / cloud_path
     cloud = downsample(load_point_cloud(cloud_path), point_budget, seed)
 
     metadata = doc.get("metadata", {})

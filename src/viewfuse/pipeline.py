@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .bandit import (
 )
 from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
-from .config import PipelineConfig
+from .config import PROVIDER_ROLES, PipelineConfig
 from .errors import ConfigError, DuplicateObjectId, EngineError
 from .gating import GatingDecision, flagged_record, gate
 from .model import FAILURE_KEY_PREFIX, VIEW_ORDER, ObjectManifest, Viewpoint, ingest_manifest
@@ -66,7 +66,6 @@ class BanditTrace:
     rounds: int
     arm_candidate_indices: list[int]
     pulls: list[int]
-    trace: list[dict]
     selected_candidate_index: int
 
 
@@ -149,22 +148,22 @@ def _run_bandit(
     reps: list[int],
     cfg: PipelineConfig,
     rng: random.Random,
-) -> BanditTrace:
-    """R rounds of selection among canonical arms; emit the most-pulled."""
+) -> tuple[BanditTrace, list[tuple[int, float]]]:
+    """R rounds of selection among canonical arms; pick the most-pulled.
+
+    Returns the pick with the `run_bandit` history it came from.
+    """
     rewards = [compute_reward(scored[i]) for i in reps]
     history = run_bandit(cfg, rewards.__getitem__, len(reps), rng)
     pulls = pull_counts(history, len(reps))
-    return BanditTrace(
+    bandit = BanditTrace(
         strategy=cfg.strategy,
         rounds=cfg.rounds,
         arm_candidate_indices=list(reps),
         pulls=pulls,
-        trace=[
-            {"round": r, "arm": arm, "candidate_index": reps[arm], "reward": value}
-            for r, (arm, value) in enumerate(history, start=1)
-        ],
         selected_candidate_index=reps[most_pulled(pulls)],
     )
+    return bandit, history
 
 
 def annotate_object(
@@ -229,7 +228,7 @@ def annotate_object(
             rng = random.Random(
                 stable_seed("bandit", cfg.seed, manifest.object_id, view.value)
             )
-            bandit = _run_bandit(scored, reps, cfg, rng)
+            bandit, _ = _run_bandit(scored, reps, cfg, rng)
             chosen = scored[bandit.selected_candidate_index]
             selections.append(
                 ViewSelection(view=view, text=chosen.text, score=chosen.composite_score)
@@ -308,23 +307,12 @@ def _scored_to_doc(c: ScoredCandidate, logprobs: tuple[float, ...]) -> dict:
     }
 
 
-def _bandit_to_doc(b: BanditTrace) -> dict:
-    # the per-round trace is left out: replay_bandit rebuilds it
-    return {
-        "strategy": b.strategy,
-        "rounds": b.rounds,
-        "arm_candidate_indices": b.arm_candidate_indices,
-        "pulls": b.pulls,
-        "selected_candidate_index": b.selected_candidate_index,
-    }
-
-
 def record_to_doc(record: AnnotationRecord) -> dict:
     """Canonical JSON form of a record.
 
     Deliberately excludes wall-clock timings so identical runs produce
     byte-identical files; timings are aggregated in the run summary.
-    The bandit's per-round trace is excluded too (see replay_bandit).
+    The bandit's per-round trace is not kept at all (see replay_bandit).
     """
     if record.status != "ok":
         return {
@@ -346,7 +334,7 @@ def record_to_doc(record: AnnotationRecord) -> dict:
                 _scored_to_doc(c, vr.token_logprobs[i])
                 for i, c in enumerate(vr.candidates)
             ],
-            "bandit": _bandit_to_doc(vr.bandit),
+            "bandit": asdict(vr.bandit),
             "selection": {"text": vr.selection.text, "score": vr.selection.score},
         }
     ga = record.global_annotation
@@ -387,9 +375,10 @@ def replay_bandit(view_doc: dict, cfg: PipelineConfig, object_id: str) -> list[d
     """The per-round bandit trace of one view of a record, rebuilt.
 
     Reruns `_run_bandit` on the arms' stored composite scores with the
-    view's own RNG stream. `cfg` must be the configuration the record
-    was made with; a replay whose strategy, rounds, pulls or pick
-    differ from the record's raises ConfigError.
+    view's own RNG stream; the engine itself keeps no trace. `cfg` must
+    be the configuration the record was made with; a replay whose
+    strategy, rounds, pulls or pick differ from the record's raises
+    ConfigError.
     """
     view = Viewpoint.from_string(view_doc["view"])
     scored = [
@@ -406,12 +395,16 @@ def replay_bandit(view_doc: dict, cfg: PipelineConfig, object_id: str) -> list[d
         for c in view_doc["candidates"]
     ]
     rng = random.Random(stable_seed("bandit", cfg.seed, object_id, view.value))
-    replayed = _run_bandit(scored, view_doc["bandit"]["arm_candidate_indices"], cfg, rng)
-    if _bandit_to_doc(replayed) != view_doc["bandit"]:
+    arms = view_doc["bandit"]["arm_candidate_indices"]
+    replayed, history = _run_bandit(scored, arms, cfg, rng)
+    if asdict(replayed) != view_doc["bandit"]:
         raise ConfigError(
             f"{object_id} view {view.value}: record was not made with this configuration"
         )
-    return replayed.trace
+    return [
+        {"round": r, "arm": arm, "candidate_index": arms[arm], "reward": value}
+        for r, (arm, value) in enumerate(history, start=1)
+    ]
 
 
 def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[list[ObjectManifest], list[AnnotationRecord]]:
@@ -483,7 +476,7 @@ def build_providers(
                 truth = json.loads(truth_path.read_text(encoding="utf-8"))
         backing = build_mock_providers(seed=cfg.seed, truth=truth)
     else:
-        for role in ("generate", "embed_text", "embed_image", "embed_cloud"):
+        for role in PROVIDER_ROLES:
             if role not in cfg.providers:
                 raise ConfigError(
                     f"provider role {role!r} not configured (or run with mocks)"

@@ -9,7 +9,6 @@ one object's calls of a role can go out as one wave; a batch returns
 its results in input order.
 """
 
-import enum
 import hashlib
 import json
 import statistics
@@ -21,18 +20,10 @@ from ..errors import MissingLogprobs
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 
 
-class PromptPhase(enum.Enum):
-    """The turn of the generation conversation; its value is part of
-    the generation cache key."""
-
-    INTEGRATION = "integration"
-
-
 @dataclass(frozen=True)
 class GenerationConfig:
     temperature: float = 0.7
     num_candidates: int = 5
-    prompt_phase: PromptPhase = PromptPhase.INTEGRATION
 
     def __post_init__(self):
         if self.temperature < 0:

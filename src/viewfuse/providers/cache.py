@@ -199,7 +199,7 @@ class CachedCandidateGenerator:
                     "image_ref": image_ref,
                     "temperature": cfg.temperature,
                     "n": cfg.num_candidates,
-                    "phase": cfg.prompt_phase.value,
+                    "phase": "integration",  # in every key written, so kept for the hits
                 },
                 self.model_id,
             )

@@ -28,6 +28,12 @@ from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 from . import CandidateDraft, GenerationConfig, cloud_digest, resolve_drafts
 
 DEFAULT_DIM = 256
+# spread of each mock's embeddings around its concept anchor
+TEXT_NOISE = 0.3
+IMAGE_NOISE = 0.1
+CLOUD_NOISE = 0.3
+# a generated candidate's quality is drawn uniformly from this range
+QUALITY_RANGE = (0.55, 0.95)
 
 # Concept vocabulary used by the demo corpus and the default mock stack.
 DEFAULT_CONCEPTS = (
@@ -87,19 +93,12 @@ def concept_from_image_ref(image_ref: str) -> str:
 class MockTextEmbedder:
     """Embeds text near the anchor of the first concept word it contains."""
 
-    def __init__(
-        self,
-        space: ConceptSpace,
-        vocabulary: tuple[str, ...] = DEFAULT_CONCEPTS,
-        noise_scale: float = 0.3,
-    ):
+    def __init__(self, space: ConceptSpace):
         self.space = space
-        self.vocabulary = tuple(vocabulary)
-        self.noise_scale = noise_scale
         self.model_id = "mock:text-embedder"
         self.calls = 0
         self._patterns = {
-            slug: re.compile(rf"\b{re.escape(slug)}\b") for slug in self.vocabulary
+            slug: re.compile(rf"\b{re.escape(slug)}\b") for slug in DEFAULT_CONCEPTS
         }
 
     def embed_text(self, text: str) -> EmbeddingVector:
@@ -107,9 +106,9 @@ class MockTextEmbedder:
             raise EmptyText("cannot embed empty text")
         self.calls += 1
         lowered = text.lower()
-        for slug in self.vocabulary:
-            if self._patterns[slug].search(lowered):
-                return self.space.noisy_anchor(slug, f"text:{lowered}", self.noise_scale)
+        for slug, pattern in self._patterns.items():
+            if pattern.search(lowered):
+                return self.space.noisy_anchor(slug, f"text:{lowered}", TEXT_NOISE)
         return self.space.off_anchor(f"text:{lowered}")
 
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
@@ -119,9 +118,8 @@ class MockTextEmbedder:
 class MockImageEmbedder:
     """Embeds an image reference near its concept's anchor."""
 
-    def __init__(self, space: ConceptSpace, noise_scale: float = 0.1):
+    def __init__(self, space: ConceptSpace):
         self.space = space
-        self.noise_scale = noise_scale
         self.model_id = "mock:image-embedder"
         self.calls = 0
 
@@ -130,7 +128,7 @@ class MockImageEmbedder:
             raise EmptyText("cannot embed empty image reference")
         self.calls += 1
         slug = concept_from_image_ref(image_ref)
-        return self.space.noisy_anchor(slug, f"image:{image_ref}", self.noise_scale)
+        return self.space.noisy_anchor(slug, f"image:{image_ref}", IMAGE_NOISE)
 
     def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
         return [self.embed_image(r) for r in image_refs]
@@ -139,15 +137,9 @@ class MockImageEmbedder:
 class MockCloudEmbedder:
     """Embeds a point cloud via the digest-to-concept truth table."""
 
-    def __init__(
-        self,
-        space: ConceptSpace,
-        truth: dict[str, str] | None = None,
-        noise_scale: float = 0.3,
-    ):
+    def __init__(self, space: ConceptSpace, truth: dict[str, str] | None = None):
         self.space = space
         self.truth = dict(truth or {})
-        self.noise_scale = noise_scale
         self.model_id = "mock:cloud-embedder"
         self.calls = 0
 
@@ -157,7 +149,7 @@ class MockCloudEmbedder:
         slug = self.truth.get(digest)
         if slug is None:
             return self.space.off_anchor(f"cloud:{digest}")
-        return self.space.noisy_anchor(slug, f"cloud:{digest}", self.noise_scale)
+        return self.space.noisy_anchor(slug, f"cloud:{digest}", CLOUD_NOISE)
 
 
 class MockCandidateGenerator:
@@ -169,22 +161,15 @@ class MockCandidateGenerator:
     """
 
     def __init__(
-        self,
-        seed: int = 0,
-        quality_range: tuple[float, float] = (0.55, 0.95),
-        hallucination_rate: float = 0.15,
-        missing_logprob_rate: float = 0.0,
-        vocabulary: tuple[str, ...] = DEFAULT_CONCEPTS,
+        self, seed: int = 0, hallucination_rate: float = 0.15, missing_logprob_rate: float = 0.0
     ):
         if not 0.0 <= hallucination_rate <= 1.0:
             raise ValueError("hallucination_rate must be in [0, 1]")
         if not 0.0 <= missing_logprob_rate <= 1.0:
             raise ValueError("missing_logprob_rate must be in [0, 1]")
         self.seed = seed
-        self.quality_range = quality_range
         self.hallucination_rate = hallucination_rate
         self.missing_logprob_rate = missing_logprob_rate
-        self.vocabulary = tuple(vocabulary)
         self.model_id = f"mock:generator:seed={seed}"
         self.calls = 0
 
@@ -205,13 +190,12 @@ class MockCandidateGenerator:
         rng = _seed_from(
             f"gen:{self.seed}:{image_ref}:{view.value}:{cfg.temperature}:{cfg.num_candidates}"
         )
-        lo, hi = self.quality_range
         drafts = []
         for i in range(cfg.num_candidates):
-            quality = float(rng.uniform(lo, hi))
+            quality = float(rng.uniform(*QUALITY_RANGE))
             subject = concept
             if float(rng.random()) < self.hallucination_rate:
-                others = [c for c in self.vocabulary if c != concept]
+                others = [c for c in DEFAULT_CONCEPTS if c != concept]
                 subject = others[int(rng.integers(len(others)))]
                 quality *= 0.6  # hallucinations read as less certain
             text = self._compose_text(rng, subject, view)
@@ -231,23 +215,13 @@ class MockCandidateGenerator:
         return [self.generate_candidates(view, ref, cfg) for view, ref in items]
 
 
-def build_mock_providers(
-    seed: int = 0,
-    dim: int = DEFAULT_DIM,
-    truth: dict[str, str] | None = None,
-    hallucination_rate: float = 0.15,
-    missing_logprob_rate: float = 0.0,
-):
+def build_mock_providers(seed: int = 0, truth: dict[str, str] | None = None):
     """One coherent mock stack sharing a concept space."""
     from . import ProviderSet
 
-    space = ConceptSpace(dim=dim)
+    space = ConceptSpace()
     return ProviderSet(
-        generator=MockCandidateGenerator(
-            seed=seed,
-            hallucination_rate=hallucination_rate,
-            missing_logprob_rate=missing_logprob_rate,
-        ),
+        generator=MockCandidateGenerator(seed=seed),
         text_embedder=MockTextEmbedder(space),
         image_embedder=MockImageEmbedder(space),
         cloud_embedder=MockCloudEmbedder(space, truth=truth),

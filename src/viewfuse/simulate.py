@@ -22,6 +22,7 @@ from .pipeline import most_pulled, pull_counts, run_bandit, stable_seed
 from .scoring import composite_score
 
 FINAL_WINDOW = 1_000
+SELECTION_ARMS = 4  # candidates per synthetic object in selection_experiment
 
 
 @dataclass(frozen=True)
@@ -93,23 +94,13 @@ def run_strategy(
     rounds: int,
     *,
     exploration_weight: float = 0.5,
-    epsilon: float = 0.1,
-    prior_alpha: float = 0.1,
-    prior_beta: float = 1.0,
 ) -> StrategyRun:
     if strategy not in STRATEGIES:
         raise UnknownStrategy(f"unknown strategy {strategy!r}")
     if rounds < 1:
         raise OutOfRangeArgument("rounds must be >= 1")
 
-    cfg = PipelineConfig(
-        strategy=strategy,
-        rounds=rounds,
-        exploration_weight=exploration_weight,
-        epsilon=epsilon,
-        thompson_prior_alpha=prior_alpha,
-        thompson_prior_beta=prior_beta,
-    )
+    cfg = PipelineConfig(strategy=strategy, rounds=rounds, exploration_weight=exploration_weight)
     rng_env = random.Random(stable_seed("sim-env", seed))
     rng_policy = random.Random(stable_seed("sim-policy", strategy, seed))
     best_arm, best_mean = env.best_arm, env.best_mean
@@ -141,7 +132,6 @@ def simulate_strategies(
     strategies: list[str],
     seeds: list[int],
     rounds: int = 10_000,
-    **policy_kwargs,
 ) -> list[StrategyRun]:
     """Every (strategy, seed) pair, in the given order."""
     for s in strategies:
@@ -149,11 +139,7 @@ def simulate_strategies(
             raise UnknownStrategy(f"unknown strategy {s!r}")
     if not strategies or not seeds:
         raise EmptyInput("need at least one strategy and one seed")
-    return [
-        run_strategy(env, s, seed, rounds, **policy_kwargs)
-        for s in strategies
-        for seed in seeds
-    ]
+    return [run_strategy(env, s, seed, rounds) for s in strategies for seed in seeds]
 
 
 def runs_to_csv(runs: list[StrategyRun]) -> str:
@@ -206,23 +192,17 @@ def summarize(runs: list[StrategyRun]) -> dict:
     return out
 
 
-def selection_experiment(
-    num_objects: int = 1_000,
-    seeds: range | list[int] = range(20),
-    *,
-    arms: int = 4,
-    rounds: int = 50,
-    blend_ratio: float = 0.2,
-    exploration_weight: float = 0.5,
-) -> dict:
+def selection_experiment(num_objects: int = 1_000, seeds: range | list[int] = range(20)) -> dict:
     """Bandit-picked vs uniformly-picked candidates on synthetic scores.
 
-    Each synthetic object gets `arms` candidates with drawn confidence
-    and relevance; both selectors see identical composite scores. The
-    bandit runs the engine's own loop, `pipeline.run_bandit`, with UCB1
-    and deterministic rewards, and keeps its most-pulled arm.
+    Each synthetic object gets SELECTION_ARMS candidates with drawn
+    confidence and relevance; both selectors see identical composite
+    scores, blended with the default `blend_ratio`. The bandit runs the
+    engine's own loop, `pipeline.run_bandit`, with UCB1 at the default
+    rounds and exploration weight and deterministic rewards, and keeps
+    its most-pulled arm.
     """
-    cfg = PipelineConfig(strategy="ucb1", rounds=rounds, exploration_weight=exploration_weight)
+    cfg = PipelineConfig(strategy="ucb1")
     per_seed = []
     for seed in seeds:
         draw = np.random.default_rng(stable_seed("selection-exp", seed))
@@ -231,18 +211,18 @@ def selection_experiment(
         bandit_total = 0.0
         uniform_total = 0.0
         for _ in range(num_objects):
-            confs = draw.uniform(0.2, 0.95, size=arms)
-            raw_rel = draw.uniform(0.0, 1.0, size=arms)
+            confs = draw.uniform(0.2, 0.95, size=SELECTION_ARMS)
+            raw_rel = draw.uniform(0.0, 1.0, size=SELECTION_ARMS)
             rel = np.exp(raw_rel) / np.exp(raw_rel).sum()
             scores = [
-                composite_score(float(confs[a]), float(rel[a]), blend_ratio)
-                for a in range(arms)
+                composite_score(float(confs[a]), float(rel[a]), cfg.blend_ratio)
+                for a in range(SELECTION_ARMS)
             ]
             rewards = [RewardSignal(score) for score in scores]
-            history = run_bandit(cfg, rewards.__getitem__, arms, policy_rng)
-            chosen = most_pulled(pull_counts(history, arms))
+            history = run_bandit(cfg, rewards.__getitem__, SELECTION_ARMS, policy_rng)
+            chosen = most_pulled(pull_counts(history, SELECTION_ARMS))
             bandit_total += scores[chosen]
-            uniform_total += scores[uniform_rng.randrange(arms)]
+            uniform_total += scores[uniform_rng.randrange(SELECTION_ARMS)]
         per_seed.append(
             {
                 "seed": int(seed),

@@ -95,6 +95,21 @@ def test_writers_of_one_key_do_not_collide(tmp_path):
     assert list((tmp_path / "generate").iterdir()) == [cache._path(r)]
 
 
+def test_cache_keys_are_pinned(tmp_path):
+    # every existing cache entry stays a hit only while these keys hold
+    providers = wrap_with_cache(build_mock_providers(seed=9), ResponseCache(tmp_path))
+    providers.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG)
+    providers.text_embedder.embed_text("A mug.")
+    providers.image_embedder.embed_image("mug__o__front.png")
+    providers.cloud_embedder.embed_cloud(PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")) == [
+        "embed_cloud/26b32553760d576b99694024d987cfb3.json",
+        "embed_image/ba054bd66202ad3884994cb8a0df1e8e.json",
+        "embed_text/ea31baa47760a54657e8f1ad5ae7773e.json",
+        "generate_candidates/dd06a35a6f522fbf1933380610045432.json",
+    ]
+
+
 def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
     providers = build_mock_providers(seed=9)
     writer = ResponseCache(tmp_path)

@@ -152,6 +152,27 @@ def test_demo_corpus_then_annotate_end_to_end(capsys, tmp_path):
     assert flagged_ids == ["obj_001", "obj_002"]
 
 
+def test_annotate_with_a_missing_cloud_still_writes_the_other_records(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "3")
+    (corpus / "clouds" / "obj_001.ply").unlink()
+
+    code, out, _ = run(
+        capsys, "annotate",
+        "--corpus", str(corpus), "--config", str(config), "--mock", "--out", str(out_dir),
+    )
+
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["objects"], summary["ok"], summary["failed"]) == (3, 2, 1)
+    assert sorted(p.name for p in (out_dir / "records").iterdir()) == [
+        "@obj_001.json", "obj_000.json", "obj_002.json",
+    ]
+
+
 def test_annotate_seed_override_changes_outputs(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     config = tmp_path / "config.json"

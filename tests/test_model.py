@@ -306,6 +306,26 @@ def test_garbage_cloud_rejected(tmp_path):
         load_point_cloud(p)
 
 
+def test_missing_cloud_file_is_a_parse_error(tmp_path):
+    with pytest.raises(ParseError, match="^cannot read point cloud nope.ply: No such file"):
+        load_point_cloud(tmp_path / "nope.ply")
+
+
+def test_cloud_path_that_is_a_directory_is_a_parse_error(tmp_path):
+    (tmp_path / "cloud.json").mkdir()
+    with pytest.raises(ParseError, match="^cannot read point cloud cloud.json: Is a directory"):
+        load_point_cloud(tmp_path / "cloud.json")
+
+
+def test_non_utf8_json_cloud_is_a_parse_error_at_the_bad_byte(tmp_path):
+    p = tmp_path / "cloud.json"
+    raw = b"[[1, 2, 3], [4, 5, \xff]]"
+    p.write_bytes(raw)
+    with pytest.raises(ParseError, match="^point cloud is not UTF-8") as err:
+        load_point_cloud(p)
+    assert err.value.offset == raw.index(b"\xff")
+
+
 def test_downsample_under_budget_is_identity():
     cloud = PointCloud(np.arange(30.0).reshape(10, 3))
     assert downsample(cloud, 10, seed=1) is cloud
@@ -469,3 +489,20 @@ def test_ingest_manifest_applies_point_budget(tmp_path):
     path.write_text(json.dumps(doc))
     manifest = ingest_manifest(path, point_budget=100, seed=9)
     assert manifest.point_cloud.count == 100
+
+
+def test_non_utf8_manifest_is_a_parse_error_at_the_bad_byte(tmp_path):
+    path = _write_manifest(tmp_path)
+    raw = path.read_bytes().replace(b'"obj_1"', b'"obj_\xe9"')
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="^manifest is not UTF-8") as err:
+        ingest_manifest(path)
+    assert err.value.offset == raw.index(b"\xe9")
+
+
+@pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()], ids=["missing", "directory"])
+def test_unreadable_manifest_is_a_parse_error(tmp_path, make):
+    path = tmp_path / "obj_1.json"
+    make(path)
+    with pytest.raises(ParseError, match="^cannot read manifest: "):
+        ingest_manifest(path)

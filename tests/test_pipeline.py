@@ -1,11 +1,12 @@
 import json
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 import viewfuse.pipeline as pipeline
-from viewfuse.config import STRATEGIES, PipelineConfig
+from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig
 from viewfuse.demo import build_demo_corpus
 from viewfuse.errors import ConfigError
 from viewfuse.gating import gate
@@ -60,7 +61,6 @@ def test_single_object_record_structure(corpus):
         for c in vr.candidates:
             assert (c.relevance_weight is None) == (c.composite_score is None)
         assert sum(vr.bandit.pulls) == cfg.rounds
-        assert len(vr.bandit.trace) == cfg.rounds
         assert vr.bandit.selected_candidate_index in vr.bandit.arm_candidate_indices
         chosen = vr.candidates[vr.bandit.selected_candidate_index]
         assert vr.selection.text == chosen.text
@@ -285,6 +285,62 @@ def test_malformed_json_cloud_becomes_failure_entry(tmp_path):
     assert failed["error"] == "ParseError: JSON point cloud row 1 is not three numbers"
 
 
+def _delete_ply_cloud(corpus_dir):
+    (corpus_dir / "clouds" / "obj_001.ply").unlink()
+
+
+def _replace_ply_cloud_with_directory(corpus_dir):
+    _delete_ply_cloud(corpus_dir)
+    (corpus_dir / "clouds" / "obj_001.ply").mkdir()
+
+
+def _put_non_utf8_byte_in_manifest(corpus_dir):
+    path = corpus_dir / "obj_001.json"
+    path.write_bytes(path.read_bytes().replace(b'"concept"', b'"conc\xffept"'))
+
+
+def _put_non_utf8_byte_in_json_cloud(corpus_dir):
+    path = corpus_dir / "clouds" / "obj_002.json"
+    path.write_bytes(b"\xfe" + path.read_bytes())
+
+
+def _add_directory_named_like_a_manifest(corpus_dir):
+    (corpus_dir / "obj_001.json").unlink()
+    (corpus_dir / "obj_001.json").mkdir()
+
+
+@pytest.mark.parametrize(
+    "damage, failed_key, error",
+    [
+        (_delete_ply_cloud, "@obj_001",
+         "ParseError: cannot read point cloud obj_001.ply: No such file or directory"),
+        (_replace_ply_cloud_with_directory, "@obj_001",
+         "ParseError: cannot read point cloud obj_001.ply: Is a directory"),
+        (_put_non_utf8_byte_in_manifest, "@obj_001",
+         "ParseError: manifest is not UTF-8: invalid start byte"),
+        (_put_non_utf8_byte_in_json_cloud, "@obj_002",
+         "ParseError: point cloud is not UTF-8: invalid start byte"),
+        (_add_directory_named_like_a_manifest, "@obj_001",
+         "ParseError: cannot read manifest: Is a directory"),
+    ],
+    ids=["missing-cloud", "cloud-is-directory", "non-utf8-manifest", "non-utf8-cloud",
+         "manifest-is-directory"],
+)
+def test_unreadable_input_becomes_failure_record(tmp_path, damage, failed_key, error):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=3, seed=0)
+    damage(corpus_dir)
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert (summary["objects"], summary["ok"], summary["failed"]) == (3, 2, 1)
+    keys = {"obj_000", "obj_001", "obj_002"} - {failed_key[1:]} | {failed_key}
+    assert sorted(p.name for p in (out_dir / "records").iterdir()) == sorted(f"{k}.json" for k in keys)
+    failed = json.loads((out_dir / "records" / f"{failed_key}.json").read_text())
+    assert (failed["status"], failed["error"]) == ("failed", error)
+
+
 def test_run_corpus_writes_all_outputs(tmp_path):
     corpus_dir = tmp_path / "corpus"
     out_dir = tmp_path / "out"
@@ -369,3 +425,33 @@ def test_record_files_have_sorted_keys_and_trailing_newline(corpus):
     assert text.endswith("\n")
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
+
+
+# The single-item method of each role on the active providers, as
+# bench/spec.json lists them; bench/tracing.py wraps these by name.
+BENCH_ROLES = {
+    "generate": ["generator", "generate_candidates"],
+    "embed_text": ["text_embedder", "embed_text"],
+    "embed_image": ["image_embedder", "embed_image"],
+    "embed_cloud": ["cloud_embedder", "embed_cloud"],
+}
+
+
+def test_bench_roles_match_the_spec():
+    spec = json.loads((Path(__file__).parents[1] / "bench" / "spec.json").read_text(encoding="utf-8"))
+    assert spec["roles"] == BENCH_ROLES
+    assert tuple(BENCH_ROLES) == PROVIDER_ROLES
+
+
+@pytest.mark.parametrize("mock", [True, False], ids=["mock", "http"])
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+def test_every_provider_mode_exposes_the_bench_roles(tmp_path, mock, cached):
+    # an HTTP provider set is only built here, so nothing listens on the endpoint
+    http = {role: {"endpoint": "http://127.0.0.1:9/", "request_template": {}} for role in PROVIDER_ROLES}
+    cfg = PipelineConfig(
+        providers={} if mock else http, cache_dir=str(tmp_path / "cache") if cached else None
+    )
+    active, _backing, cache = build_providers(cfg, mock=mock)
+    assert (cache is not None) == cached
+    for slot, method in BENCH_ROLES.values():
+        assert callable(getattr(getattr(active, slot), method)), (slot, method)

@@ -1,6 +1,8 @@
 """Record files: schema 2 layout, trace replay, ids and crash safety."""
 
+import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -116,22 +118,38 @@ def test_v2_record_is_compact_with_no_trace(corpus):
         ]
 
 
+# sha256 of every view's replayed trace on the module's 4-object corpus
+# (seed 42, 30 rounds), as a JSON list of [object_id, view, rows]; taken
+# when the engine still kept the trace in memory and equal to it there
+REPLAYED_TRACES_SHA256 = {
+    "ucb1": "47c3773db808d221c9816d3b0c23485f074477fdf0811b2c2381a007bfb09707",
+    "epsilon_greedy": "7fe9c2f2b13dd032bb1826b78e30ede330cc0a1168fc27d97af2ff74a5dd31ee",
+    "thompson": "adff38279eeb5ffba3ad551c33df080b10e602a8acaf2357a13af4960be3a2c3",
+}
+
+
 @pytest.mark.parametrize("strategy", ["ucb1", "epsilon_greedy", "thompson"])
 def test_replay_rebuilds_the_in_memory_trace(corpus, tmp_path, strategy):
     cfg = PipelineConfig(seed=42, strategy=strategy, rounds=30)
     out_dir = tmp_path / "out"
     run_corpus(corpus, cfg, mock=True, out_dir=out_dir)
-    in_memory = run_pipeline(
-        load_corpus_entries(corpus, cfg)[0], cfg, build_providers(cfg, True, corpus)[0]
-    )
 
-    assert len(in_memory) == 4
-    for record in in_memory:
-        doc = json.loads((out_dir / "records" / f"{record.object_id}.json").read_text())
-        for vr in record.views:
-            assert len(vr.bandit.trace) == cfg.rounds
-            replayed = replay_bandit(doc["views"][vr.view.value], cfg, record.object_id)
-            assert replayed == vr.bandit.trace
+    replays = []
+    for path in sorted((out_dir / "records").iterdir()):
+        doc = json.loads(path.read_text())
+        for view, view_doc in doc["views"].items():
+            rows = replay_bandit(view_doc, cfg, doc["object_id"])
+            bandit = view_doc["bandit"]
+            assert [row["round"] for row in rows] == list(range(1, cfg.rounds + 1))
+            counts = Counter(row["arm"] for row in rows)
+            assert [counts[a] for a in range(len(bandit["pulls"]))] == bandit["pulls"]
+            for row in rows:
+                assert row["candidate_index"] == bandit["arm_candidate_indices"][row["arm"]]
+            replays.append([doc["object_id"], view, rows])
+
+    assert len(replays) == 4 * 6
+    digest = hashlib.sha256(json.dumps(replays, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == REPLAYED_TRACES_SHA256[strategy]
 
 
 def test_replay_refuses_a_config_the_record_was_not_made_with(corpus):
@@ -140,7 +158,10 @@ def test_replay_refuses_a_config_the_record_was_not_made_with(corpus):
         load_corpus_entries(corpus, cfg)[0], cfg, build_providers(cfg, True, corpus)[0]
     )
     view_doc = json.loads(record_to_json(record))["views"]["front"]
-    assert replay_bandit(view_doc, cfg, record.object_id) == record.views[0].bandit.trace
+    assert replay_bandit(view_doc, cfg, record.object_id) == [
+        {"round": r, "arm": 0, "candidate_index": 0, "reward": 0.8911485385276865}
+        for r in range(1, cfg.rounds + 1)
+    ]
     for other in (replace(cfg, rounds=49), replace(cfg, strategy="ucb1")):
         with pytest.raises(ConfigError, match="not made with this configuration"):
             replay_bandit(view_doc, other, record.object_id)
