@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import STRATEGIES, PipelineConfig
 from .cost import estimate_cost
 from .demo import build_demo_corpus
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, ParseError
 from .gating import (
     TruncatedGaussianPair,
     density_crossing_coefficients,
@@ -28,6 +28,7 @@ from .gating import (
     kl_divergence,
     solve_optimal_threshold,
 )
+from .model import parse_json, read_bytes
 from .pipeline import run_corpus
 from .simulate import (
     load_environment,
@@ -198,10 +199,11 @@ def _cmd_threshold_sweep(args) -> int:
 
 
 def _cmd_bandit_simulate(args) -> int:
+    what = f"environment file {args.env}"
     try:
-        doc = json.loads(Path(args.env).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read environment file {args.env}: {e}") from None
+        doc = parse_json(read_bytes(Path(args.env), what), what)
+    except ParseError as e:
+        raise ConfigError(str(e)) from None
     env = load_environment(doc)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     unknown = [s for s in strategies if s not in STRATEGIES]

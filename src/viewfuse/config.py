@@ -4,15 +4,25 @@ Unknown keys are rejected so typos fail loudly instead of silently
 running with defaults.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
+from .model import is_json_number, parse_json, read_bytes
 
 STRATEGIES = ("ucb1", "epsilon_greedy", "thompson")
 PROVIDER_ROLES = ("generate", "embed_text", "embed_image", "embed_cloud")
+
+# what a config file may give for a field of each annotated type, and
+# how the error names it
+_FIELD_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (is_json_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    str | None: (lambda v: v is None or isinstance(v, str), "a string or null"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 @dataclass
@@ -60,13 +70,9 @@ class PipelineConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
-        for name in (
-            "blend_ratio", "gate_threshold", "eps", "exploration_weight",
-            "epsilon", "thompson_prior_alpha", "thompson_prior_beta",
-            "temperature", "w_fb",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         if not isinstance(self.providers, dict):
             raise ConfigError("providers must be an object")
         unknown_roles = set(self.providers) - set(PROVIDER_ROLES)
@@ -86,37 +92,19 @@ class PipelineConfig:
             if f.name not in doc:
                 continue
             value = doc[f.name]
-            if f.name in ("min_pts", "rounds", "seed", "num_candidates",
-                          "point_budget", "workers"):
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ConfigError(f"{f.name} must be an integer")
-            elif f.name == "strategy":
-                if not isinstance(value, str):
-                    raise ConfigError("strategy must be a string")
-            elif f.name == "cache_dir":
-                if value is not None and not isinstance(value, str):
-                    raise ConfigError("cache_dir must be a string or null")
-            elif f.name == "providers":
-                if not isinstance(value, dict):
-                    raise ConfigError("providers must be an object")
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{f.name} must be a number")
-                value = float(value)
-            typed[f.name] = value
-        try:
-            return cls(**typed)
-        except TypeError as e:
-            raise ConfigError(str(e)) from None
+            accepts, kind = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {kind}")
+            typed[f.name] = float(value) if f.type is float else value
+        return cls(**typed)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        what = f"config file {path}"
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {path}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {path} is not valid JSON: {e.msg}") from None
+            doc = parse_json(read_bytes(Path(path), what), what)
+        except ParseError as e:
+            raise ConfigError(str(e)) from None
         return cls.from_dict(doc)
 
     def to_dict(self) -> dict:

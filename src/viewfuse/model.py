@@ -3,12 +3,16 @@
 An object enters the engine as a manifest: an id, six view-image
 references, a point-cloud reference, and free-form metadata. Point
 clouds load from ascii PLY or a flat JSON array of [x, y, z] triples
-and are downsampled to a configurable budget.
+and are downsampled to a configurable budget. The one JSON reader,
+atomic writer, canonical encoder and seed function every module uses
+live here too.
 """
 
 import enum
+import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
@@ -22,6 +26,76 @@ DEFAULT_POINT_BUDGET = 10_000
 # leads the key of every record made for a manifest that was not
 # accepted, and no accepted object_id, so the two can never collide
 FAILURE_KEY_PREFIX = "@"
+# write_atomic's temp name is "<name>.<TEMP_TOKEN_BYTES as hex>.tmp"
+TEMP_TOKEN_BYTES = 8
+# an id names the record file <id>.json, and the temp name of that file
+# must fit in the 255 bytes most file systems allow for one name
+MAX_OBJECT_ID_BYTES = 255 - len(".json") - len(f".{'00' * TEMP_TOKEN_BYTES}.tmp")
+
+
+def stable_seed(*parts) -> int:
+    """Platform-stable integer seed from string parts.
+
+    A lone surrogate that a file name which is not UTF-8 decodes to is
+    encoded back to its byte; every other string encodes as UTF-8.
+    """
+    joined = "\x1f".join(str(p) for p in parts).encode("utf-8", "surrogateescape")
+    return int.from_bytes(hashlib.sha256(joined).digest()[:8], "big")
+
+
+def canonical_json(doc) -> str:
+    """One line with sorted keys and no whitespace.
+
+    json.dumps, not json.dump: only a one-shot encode without indent
+    takes stdlib's C encoder.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` as UTF-8 through a temp file and a rename.
+
+    Each call writes a temp name of its own, so two writers of one path
+    are safe, and a reader never sees a partial file. The file gets the
+    mode the umask gives. A failed write or rename removes the temp file
+    and raises the error it failed with.
+    """
+    tmp = path.with_name(f"{path.name}.{os.urandom(TEMP_TOKEN_BYTES).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def read_bytes(path: Path, what: str) -> bytes:
+    """The contents of `path`; ParseError naming `what` when it cannot be read."""
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise ParseError(f"cannot read {what}: {e.strerror or e}") from None
+
+
+def parse_json(data: bytes, what: str):
+    """The JSON document `data` holds.
+
+    Raises ParseError naming `what`, with the byte offset of the fault,
+    when `data` is not UTF-8 or not valid JSON.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{what} is not UTF-8: {e.reason}", offset=e.start) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        offset = len(text[: e.pos].encode("utf-8"))
+        raise ParseError(f"{what} is not valid JSON: {e.msg}", offset=offset) from None
 
 
 class Viewpoint(enum.Enum):
@@ -178,7 +252,9 @@ def _parse_ply(data: bytes) -> np.ndarray:
     its x, y and z fields as ASCII decimal floats; other vertex
     properties and the rows after the vertex element are not read.
     """
-    text = data.decode("utf-8", errors="replace")
+    # each byte that is not UTF-8 decodes to one lone surrogate and
+    # encodes back to itself, so _line_offset counts the file's own bytes
+    text = data.decode("utf-8", errors="surrogateescape")
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file (missing 'ply' magic)", offset=0)
@@ -244,7 +320,8 @@ def _parse_ply(data: bytes) -> np.ndarray:
 def _line_offset(text: str, index: int) -> int:
     """Byte offset of line `index` of `text`, each line counted with its
     own ending (one byte for LF, two for CRLF)."""
-    return sum(len(line.encode("utf-8")) for line in text.splitlines(keepends=True)[:index])
+    lines = text.splitlines(keepends=True)[:index]
+    return sum(len(line.encode("utf-8", "surrogateescape")) for line in lines)
 
 
 def _is_ply_float(token: str) -> bool:
@@ -290,39 +367,22 @@ def is_json_number(value) -> bool:
 
 
 def is_json_vector(value) -> bool:
-    """Whether a value from `json.loads` is a non-empty list of JSON numbers.
+    """Whether a parsed JSON value is a non-empty list of JSON numbers.
 
-    json.loads makes numbers exactly int or float (true and false are
-    bool), so the element types are compared as a set, without a
-    Python call per element.
+    Python's JSON parser makes numbers exactly int or float (true and
+    false are bool), so the element types are compared as a set,
+    without a Python call per element.
     """
     return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
-
-
-def _read_bytes(path: Path, what: str) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as e:
-        raise ParseError(f"cannot read {what}: {e.strerror or e}") from None
-
-
-def _decode_utf8(data: bytes, what: str) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{what} is not UTF-8: {e.reason}", offset=e.start) from None
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Load a cloud from ascii PLY or a flat JSON [[x, y, z], ...] array of numbers."""
     path = Path(path)
-    data = _read_bytes(path, f"point cloud {path.name}")
+    data = read_bytes(path, f"point cloud {path.name}")
     if path.suffix.lower() == ".ply" or data[:4] == b"ply\n" or data[:5] == b"ply\r\n":
         return PointCloud(_parse_ply(data))
-    try:
-        parsed = json.loads(_decode_utf8(data, "point cloud"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"point cloud is neither PLY nor JSON: {e.msg}", offset=e.pos) from None
+    parsed = parse_json(data, "point cloud")
     if not isinstance(parsed, list):
         raise ParseError("JSON point cloud must be an array of [x, y, z] triples")
     if len(parsed) == 0:
@@ -354,10 +414,7 @@ def ingest_manifest(
     A file that cannot be read or decoded raises ParseError.
     """
     path = Path(path)
-    try:
-        doc = json.loads(_decode_utf8(_read_bytes(path, "manifest"), "manifest"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"manifest is not valid JSON: {e.msg}", offset=e.pos) from None
+    doc = parse_json(read_bytes(path, "manifest"), "manifest")
     if not isinstance(doc, dict):
         raise ParseError("manifest root must be a JSON object")
 
@@ -373,6 +430,12 @@ def ingest_manifest(
     # an absolute path always holds a separator
     if object_id in (".", "..") or any(c in object_id for c in "/\\\0"):
         raise ParseError(f"object_id {object_id!r} is not a plain file name")
+    try:
+        id_bytes = len(object_id.encode("utf-8"))
+    except UnicodeEncodeError:
+        raise ParseError(f"object_id {object_id!r} cannot be encoded as UTF-8") from None
+    if id_bytes > MAX_OBJECT_ID_BYTES:
+        raise ParseError(f"object_id is {id_bytes} bytes long, over {MAX_OBJECT_ID_BYTES}")
     if object_id.startswith(FAILURE_KEY_PREFIX):
         raise ParseError(
             f"object_id {object_id!r} starts with {FAILURE_KEY_PREFIX!r}, "

@@ -10,11 +10,9 @@ run summary instead. `run_corpus` writes each record as soon as its
 object finishes, so an aborted run keeps the records it finished.
 """
 
-import hashlib
 import itertools
 import json
 import logging
-import os
 import random
 import time
 from collections import Counter
@@ -38,9 +36,10 @@ from .bandit import (
 from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
 from .config import PROVIDER_ROLES, PipelineConfig
-from .errors import ConfigError, DuplicateObjectId, EngineError
+from .errors import ConfigError, DuplicateObjectId, EngineError, ParseError
 from .gating import GatingDecision, flagged_record, gate
 from .model import FAILURE_KEY_PREFIX, VIEW_ORDER, ObjectManifest, Viewpoint, ingest_manifest
+from .model import canonical_json, parse_json, read_bytes, stable_seed, write_atomic
 from .providers import GenerationConfig, ProviderSet
 from .providers.cache import ResponseCache, wrap_with_cache
 from .providers.http import HttpEmbedder, HttpCandidateGenerator, HttpProviderConfig
@@ -52,12 +51,6 @@ logger = logging.getLogger(__name__)
 
 RECORD_SCHEMA_VERSION = 2
 MOCK_TRUTH_FILENAME = "mock_truth.json"
-
-
-def stable_seed(*parts) -> int:
-    """Platform-stable integer seed from string parts."""
-    joined = "\x1f".join(str(p) for p in parts)
-    return int.from_bytes(hashlib.sha256(joined.encode("utf-8")).digest()[:8], "big")
 
 
 @dataclass
@@ -91,6 +84,16 @@ class AnnotationRecord:
     # kept on the record so synthesis can be replayed from it alone
     w_fb: float | None = None
     stage_timings: dict = field(default_factory=dict)
+
+    @classmethod
+    def failed(cls, object_id: str, error: EngineError, metadata: dict | None = None):
+        """The record of an object that `error` stopped."""
+        return cls(
+            object_id=object_id,
+            status="failed",
+            error=f"{type(error).__name__}: {error}",
+            metadata=metadata or {},
+        )
 
 
 def run_bandit(
@@ -261,11 +264,7 @@ def annotate_object(
         }
     except EngineError as e:
         logger.warning("object %s failed: %s", manifest.object_id, e)
-        record.status = "failed"
-        record.error = f"{type(e).__name__}: {e}"
-        record.views = []
-        record.global_annotation = None
-        record.gating = None
+        return AnnotationRecord.failed(manifest.object_id, e, dict(manifest.metadata))
     return record
 
 
@@ -367,8 +366,7 @@ def record_to_doc(record: AnnotationRecord) -> dict:
 
 def record_to_json(record: AnnotationRecord) -> str:
     """One line: sorted keys, no whitespace, so stdlib's C encoder runs."""
-    doc = record_to_doc(record)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    return canonical_json(record_to_doc(record)) + "\n"
 
 
 def replay_bandit(view_doc: dict, cfg: PipelineConfig, object_id: str) -> list[dict]:
@@ -425,13 +423,7 @@ def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[li
 
     def reject(path: Path, e: EngineError) -> None:
         logger.warning("manifest %s rejected: %s", path.name, e)
-        failures.append(
-            AnnotationRecord(
-                object_id=FAILURE_KEY_PREFIX + path.stem,
-                status="failed",
-                error=f"{type(e).__name__}: {e}",
-            )
-        )
+        failures.append(AnnotationRecord.failed(FAILURE_KEY_PREFIX + _printable(path.stem), e))
 
     for path in sorted(corpus_dir.glob("*.json")):
         if path.name == MOCK_TRUTH_FILENAME:
@@ -452,12 +444,18 @@ def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[li
         if len(claimants) == 1:
             manifests.append(claimants[0][1])
             continue
-        names = ", ".join(path.name for path, _ in claimants)
+        names = ", ".join(_printable(path.name) for path, _ in claimants)
         for path, _ in claimants:
             reject(path, DuplicateObjectId(
                 f"object_id {object_id!r} is claimed by {len(claimants)} manifests: {names}"
             ))
     return manifests, failures
+
+
+def _printable(name: str) -> str:
+    """A file name with each byte that is not UTF-8 written as \\xNN, so
+    a record can hold it and be named after it."""
+    return name.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
 def build_providers(
@@ -473,7 +471,9 @@ def build_providers(
         if corpus_dir is not None:
             truth_path = Path(corpus_dir) / MOCK_TRUTH_FILENAME
             if truth_path.exists():
-                truth = json.loads(truth_path.read_text(encoding="utf-8"))
+                truth = parse_json(read_bytes(truth_path, MOCK_TRUTH_FILENAME), MOCK_TRUTH_FILENAME)
+                if not isinstance(truth, dict):
+                    raise ParseError(f"{MOCK_TRUTH_FILENAME} must be a JSON object")
         backing = build_mock_providers(seed=cfg.seed, truth=truth)
     else:
         for role in PROVIDER_ROLES:
@@ -529,20 +529,8 @@ class RunTally:
 
 
 def write_record(record: AnnotationRecord, records_dir: Path) -> None:
-    """Write records/<object_id>.json through a temp file and a rename.
-
-    A failed encode writes nothing, and a failed write or rename removes
-    the temp file, so a reader never sees a partial record.
-    """
-    text = record_to_json(record)
-    path = records_dir / f"{record.object_id}.json"
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write records/<object_id>.json with write_atomic; a failed encode writes nothing."""
+    write_atomic(records_dir / f"{record.object_id}.json", record_to_json(record))
 
 
 def write_outputs(
@@ -554,9 +542,10 @@ def write_outputs(
     """Write the flagged export and the run summary once every record is written."""
     out_dir = Path(out_dir)
     flagged = sorted(tally.flagged, key=lambda doc: doc["object_id"])
-    with (out_dir / "flagged.jsonl").open("w", encoding="utf-8") as f:
-        for doc in flagged:
-            f.write(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n")
+    write_atomic(
+        out_dir / "flagged.jsonl",
+        "".join(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n" for doc in flagged),
+    )
 
     summary = {
         "objects": tally.objects,
@@ -567,9 +556,9 @@ def write_outputs(
         "cache": cache.stats() if cache is not None else None,
         "config": cfg.to_dict(),
     }
-    (out_dir / "run_summary.json").write_text(
+    write_atomic(
+        out_dir / "run_summary.json",
         json.dumps(summary, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
     )
     return summary
 

@@ -10,14 +10,13 @@ its results in input order.
 """
 
 import hashlib
-import json
 import statistics
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from ..confidence import compute_raw_confidence
 from ..errors import MissingLogprobs
-from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
+from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, canonical_json
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class ProviderRequest:
 
 
 def make_request(kind: str, payload: dict, model_id: str) -> ProviderRequest:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    canonical = canonical_json(payload)
     digest = hashlib.sha256(
         f"{kind}\n{model_id}\n{canonical}".encode("utf-8")
     ).hexdigest()[:32]
@@ -112,55 +111,32 @@ class ProviderSet:
     cloud_embedder: CloudEmbedder
 
 
-@dataclass(frozen=True)
-class CandidateDraft:
-    """Generator output before confidence resolution.
+def resolve_candidates(
+    view: Viewpoint, texts: list[str], logprob_lists: list[tuple[float, ...] | None]
+) -> list[CandidateDescription]:
+    """Candidates from parallel texts and token logprobs, filling in
+    missing confidences.
 
-    token_logprobs is None when the provider could not supply them.
-    """
-
-    view: Viewpoint
-    text: str
-    token_logprobs: tuple[float, ...] | None
-    index: int
-
-
-def resolve_drafts(drafts: list[CandidateDraft]) -> list[CandidateDescription]:
-    """Turn drafts into candidates, filling in missing confidences.
-
-    A draft without logprobs gets the median raw confidence of its
-    sibling drafts that do have them, or 1.0 when no sibling does. The
-    fallback keeps logprob-less candidates scoreable without inventing
-    token probabilities for them.
+    A None entry of `logprob_lists` means the provider could not supply
+    that candidate's logprobs. Such a candidate gets the median raw
+    confidence of its siblings that do have them, or 1.0 when no sibling
+    does. The fallback keeps logprob-less candidates scoreable without
+    inventing token probabilities for them.
     """
     known: dict[int, float] = {}
-    for d in drafts:
-        if d.token_logprobs is not None:
-            if len(d.token_logprobs) == 0:
-                raise MissingLogprobs(f"candidate {d.index} has an empty logprob list")
-            known[d.index] = compute_raw_confidence(list(d.token_logprobs))
+    for i, logprobs in enumerate(logprob_lists):
+        if logprobs is not None:
+            if len(logprobs) == 0:
+                raise MissingLogprobs(f"candidate {i} has an empty logprob list")
+            known[i] = compute_raw_confidence(list(logprobs))
     fallback = statistics.median(known.values()) if known else 1.0
-
-    out = []
-    for d in drafts:
-        if d.token_logprobs is not None:
-            out.append(
-                CandidateDescription(
-                    view=d.view,
-                    text=d.text,
-                    token_logprobs=d.token_logprobs,
-                    raw_confidence=known[d.index],
-                    index=d.index,
-                )
-            )
-        else:
-            out.append(
-                CandidateDescription(
-                    view=d.view,
-                    text=d.text,
-                    token_logprobs=(),
-                    raw_confidence=fallback,
-                    index=d.index,
-                )
-            )
-    return out
+    return [
+        CandidateDescription(
+            view=view,
+            text=text,
+            token_logprobs=logprobs or (),
+            raw_confidence=known.get(i, fallback),
+            index=i,
+        )
+        for i, (text, logprobs) in enumerate(zip(texts, logprob_lists, strict=True))
+    ]

@@ -11,15 +11,14 @@ A batch call keeps one entry per item: its hits are read one by one,
 and only its misses go to the backing provider, in one batch call.
 """
 
-import json
 import logging
-import os
 import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import CacheCorruption, CacheDirUnwritable
+from ..errors import CacheCorruption, CacheDirUnwritable, ParseError
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, is_json_vector
+from ..model import canonical_json, parse_json, write_atomic
 from . import (
     CandidateGenerator,
     CloudEmbedder,
@@ -50,11 +49,11 @@ class ResponseCache:
     def load(self, req: ProviderRequest) -> dict:
         """Stored payload for the request; raises on absence or damage."""
         path = self._path(req)
-        if not path.exists():
-            raise FileNotFoundError(path)
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as e:
+            payload = parse_json(path.read_bytes(), "cache entry")
+        except FileNotFoundError:
+            raise
+        except (OSError, ParseError) as e:
             raise CacheCorruption(f"unreadable cache entry {path}: {e}") from e
         if not isinstance(payload, dict):
             raise CacheCorruption(f"cache entry {path} is not an object")
@@ -62,24 +61,9 @@ class ResponseCache:
 
     def store(self, req: ProviderRequest, payload: dict) -> None:
         path = self._path(req)
-        # json.dumps, not json.dump: only a one-shot encode without indent
-        # takes stdlib's C encoder
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # one temp name per writer, as two threads may store one key;
-            # a plain open leaves the mode to the umask, as for the records
-            tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-            try:
-                with open(tmp, "x", encoding="utf-8") as f:
-                    f.write(text)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(path, canonical_json(payload))
         except OSError as e:
             raise CacheDirUnwritable(f"cannot write cache entry {path}: {e}") from e
 

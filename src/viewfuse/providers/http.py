@@ -38,7 +38,7 @@ from ..errors import (
     ProviderUnavailable,
 )
 from ..model import EmbeddingVector, PointCloud, Viewpoint, is_json_vector
-from . import CandidateDraft, GenerationConfig, resolve_drafts
+from . import GenerationConfig, resolve_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -288,11 +288,7 @@ class HttpCandidateGenerator(_HttpBase):
                     raise MalformedProviderResponse(
                         "logprobs entries are not lists of numbers"
                     ) from None
-        drafts = [
-            CandidateDraft(view=view, text=t, token_logprobs=lp, index=i)
-            for i, (t, lp) in enumerate(zip(texts, logprob_lists))
-        ]
-        return resolve_drafts(drafts)
+        return resolve_candidates(view, texts, logprob_lists)
 
 
 class HttpEmbedder(_HttpBase):

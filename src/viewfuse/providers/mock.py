@@ -17,15 +17,14 @@ Conventions the mocks rely on:
     entry embeds away from every anchor, so the object gets flagged.
 """
 
-import hashlib
 import re
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import EmptyText
-from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
-from . import CandidateDraft, GenerationConfig, cloud_digest, resolve_drafts
+from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, stable_seed
+from . import GenerationConfig, cloud_digest, resolve_candidates
 
 DEFAULT_DIM = 256
 # spread of each mock's embeddings around its concept anchor
@@ -55,11 +54,6 @@ _DETAILS = (
 )
 
 
-def _seed_from(key: str) -> np.random.Generator:
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
-
-
 class ConceptSpace:
     """Shared geometry for all mocks: anchors and deterministic noise."""
 
@@ -69,7 +63,7 @@ class ConceptSpace:
         self.dim = dim
 
     def _unit(self, key: str) -> np.ndarray:
-        v = _seed_from(key).standard_normal(self.dim)
+        v = np.random.default_rng(stable_seed(key)).standard_normal(self.dim)
         return v / np.linalg.norm(v)
 
     def anchor(self, slug: str) -> np.ndarray:
@@ -187,11 +181,10 @@ class MockCandidateGenerator:
     ) -> list[CandidateDescription]:
         self.calls += 1
         concept = concept_from_image_ref(image_ref)
-        rng = _seed_from(
-            f"gen:{self.seed}:{image_ref}:{view.value}:{cfg.temperature}:{cfg.num_candidates}"
-        )
-        drafts = []
-        for i in range(cfg.num_candidates):
+        key = f"gen:{self.seed}:{image_ref}:{view.value}:{cfg.temperature}:{cfg.num_candidates}"
+        rng = np.random.default_rng(stable_seed(key))
+        texts, logprob_lists = [], []
+        for _ in range(cfg.num_candidates):
             quality = float(rng.uniform(*QUALITY_RANGE))
             subject = concept
             if float(rng.random()) < self.hallucination_rate:
@@ -204,10 +197,9 @@ class MockCandidateGenerator:
             logprobs = tuple(float(-(0.02 + m) * (1.2 - quality)) for m in magnitudes)
             if float(rng.random()) < self.missing_logprob_rate:
                 logprobs = None
-            drafts.append(
-                CandidateDraft(view=view, text=text, token_logprobs=logprobs, index=i)
-            )
-        return resolve_drafts(drafts)
+            texts.append(text)
+            logprob_lists.append(logprobs)
+        return resolve_candidates(view, texts, logprob_lists)
 
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig

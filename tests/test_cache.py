@@ -126,12 +126,13 @@ def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
     assert reader.stats() == {"hits": 1, "misses": 0}
 
 
-def test_corrupted_entry_repaired(tmp_path):
+@pytest.mark.parametrize("damage", [b"{broken json", b"\xff{"], ids=["broken-json", "non-utf8"])
+def test_corrupted_entry_repaired(tmp_path, damage):
     cache = ResponseCache(tmp_path)
     r = req()
     cache.fetch(r, lambda: {"value": 1}, dict)
     path = tmp_path / r.kind / f"{r.cache_key}.json"
-    path.write_text("{broken json", encoding="utf-8")
+    path.write_bytes(damage)
     calls = []
 
     def invoke():

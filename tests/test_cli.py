@@ -119,6 +119,16 @@ def test_bandit_simulate_bad_env_file_exit_2(capsys, tmp_path):
     assert err.strip()
 
 
+def test_bandit_simulate_non_utf8_env_file_exit_2(capsys, tmp_path):
+    env_file = tmp_path / "env.json"
+    env_file.write_bytes(b"[0.5, \xff]")
+    code, out, err = run(
+        capsys, "bandit", "simulate", "--env", str(env_file), "--rounds", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: environment file {env_file} is not UTF-8: invalid start byte\n"
+
+
 def test_demo_corpus_then_annotate_end_to_end(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     out_dir = tmp_path / "out"
@@ -203,6 +213,36 @@ def test_annotate_bad_config_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert "blend_weight" in err
+
+
+def test_annotate_non_utf8_config_exit_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"strategy": "\xff"}')
+    code, out, err = run(
+        capsys, "annotate", "--corpus", str(tmp_path), "--config", str(config), "--mock",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {config} is not UTF-8: invalid start byte\n"
+
+
+@pytest.mark.parametrize(
+    "truth, message",
+    [(b"\xff{", "mock_truth.json is not UTF-8: invalid start byte"),
+     (b"[1, 2]", "mock_truth.json must be a JSON object")],
+    ids=["non-utf8", "not-an-object"],
+)
+def test_annotate_bad_mock_truth_exit_1(capsys, tmp_path, truth, message):
+    corpus = tmp_path / "corpus"
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "1")
+    (corpus / "mock_truth.json").write_bytes(truth)
+    code, out, err = run(
+        capsys, "annotate",
+        "--corpus", str(corpus), "--config", str(config), "--mock", "--out", str(tmp_path / "out"),
+    )
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: ParseError: {message}"
 
 
 def test_annotate_missing_corpus_exit_2(capsys, tmp_path):

@@ -199,6 +199,16 @@ def test_ply_crlf_error_offsets_count_both_bytes(tmp_path, old, new, message, of
         assert data.index(row.encode("ascii")) == offset
 
 
+def test_ply_offset_counts_the_bytes_of_a_non_utf8_comment(tmp_path):
+    text = PLY_SIMPLE.replace("generated fixture", "caf\xe9").replace("1.0 2.0 3.0", "1 x 2")
+    data = text.encode("latin-1")
+    p = tmp_path / "cloud.ply"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match="^bad PLY vertex row: '1 x 2'$") as err:
+        load_point_cloud(p)
+    assert err.value.offset == data.index(b"1 x 2")
+
+
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "0x1p3", "nan(1)"])
 def test_ply_token_outside_ascii_float_grammar_rejected(tmp_path, token):
     p = tmp_path / "cloud.ply"
@@ -498,6 +508,15 @@ def test_non_utf8_manifest_is_a_parse_error_at_the_bad_byte(tmp_path):
     with pytest.raises(ParseError, match="^manifest is not UTF-8") as err:
         ingest_manifest(path)
     assert err.value.offset == raw.index(b"\xe9")
+
+
+def test_invalid_json_manifest_offset_counts_bytes(tmp_path):
+    path = tmp_path / "obj_1.json"
+    raw = '{"object_id": "café", "views": {,}}'.encode("utf-8")
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match="^manifest is not valid JSON") as err:
+        ingest_manifest(path)
+    assert err.value.offset == raw.index(b"{,") + 1 == 33
 
 
 @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()], ids=["missing", "directory"])

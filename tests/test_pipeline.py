@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 from pathlib import Path
@@ -10,7 +13,7 @@ from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig
 from viewfuse.demo import build_demo_corpus
 from viewfuse.errors import ConfigError
 from viewfuse.gating import gate
-from viewfuse.model import VIEW_ORDER, Viewpoint
+from viewfuse.model import MAX_OBJECT_ID_BYTES, VIEW_ORDER, Viewpoint
 from viewfuse.pipeline import (
     annotate_object,
     build_providers,
@@ -341,6 +344,68 @@ def test_unreadable_input_becomes_failure_record(tmp_path, damage, failed_key, e
     assert (failed["status"], failed["error"]) == ("failed", error)
 
 
+def _set_id_of_obj_001(object_id):
+    def damage(corpus_dir):
+        path = corpus_dir / "obj_001.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["object_id"] = object_id
+        # json.dumps escapes a lone surrogate as \ud800
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return damage
+
+
+def _give_obj_001_a_non_utf8_name(corpus_dir):
+    (corpus_dir / "obj_001.json").rename(corpus_dir / os.fsdecode(b"obj_\xff.json"))
+
+
+def _give_obj_001_a_non_utf8_name_and_break_it(corpus_dir):
+    _give_obj_001_a_non_utf8_name(corpus_dir)
+    (corpus_dir / os.fsdecode(b"obj_\xff.json")).write_text("[]")
+
+
+def _give_obj_001_a_non_utf8_name_and_the_id_of_obj_000(corpus_dir):
+    _set_id_of_obj_001("obj_000")(corpus_dir)
+    _give_obj_001_a_non_utf8_name(corpus_dir)
+
+
+# Each of these aborted the run with OSError or UnicodeEncodeError
+# before it wrote flagged.jsonl or run_summary.json.
+@pytest.mark.parametrize(
+    "damage, keys, error",
+    [
+        (_set_id_of_obj_001("x" * 300), ["@obj_001", "obj_000", "obj_002"],
+         f"ParseError: object_id is 300 bytes long, over {MAX_OBJECT_ID_BYTES}"),
+        (_set_id_of_obj_001("bad\ud800id"), ["@obj_001", "obj_000", "obj_002"],
+         "ParseError: object_id 'bad\\ud800id' cannot be encoded as UTF-8"),
+        (_set_id_of_obj_001("x" * MAX_OBJECT_ID_BYTES),
+         ["obj_000", "obj_002", "x" * MAX_OBJECT_ID_BYTES], None),
+        (_give_obj_001_a_non_utf8_name, ["obj_000", "obj_001", "obj_002"], None),
+        (_give_obj_001_a_non_utf8_name_and_break_it, ["@obj_\\xff", "obj_000", "obj_002"],
+         "ParseError: manifest root must be a JSON object"),
+        (_give_obj_001_a_non_utf8_name_and_the_id_of_obj_000, ["@obj_000", "@obj_\\xff", "obj_002"],
+         "DuplicateObjectId: object_id 'obj_000' is claimed by 2 manifests: "
+         "obj_000.json, obj_\\xff.json"),
+    ],
+    ids=["long-id", "surrogate-id", "longest-id", "non-utf8-name", "non-utf8-name-failed",
+         "non-utf8-name-duplicate"],
+)
+def test_id_or_name_that_cannot_name_a_record_fails_only_its_object(tmp_path, damage, keys, error):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=3, seed=0)
+    damage(corpus_dir)
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    failed_keys = [k for k in keys if k.startswith("@")]
+    assert (summary["objects"], summary["failed"]) == (3, len(failed_keys))
+    assert sorted(p.name for p in (out_dir / "records").iterdir()) == [f"{k}.json" for k in keys]
+    assert (out_dir / "flagged.jsonl").exists()
+    if error is not None:
+        failed = json.loads((out_dir / "records" / f"{keys[0]}.json").read_text(encoding="utf-8"))
+        assert (failed["status"], failed["error"]) == ("failed", error)
+
+
 def test_run_corpus_writes_all_outputs(tmp_path):
     corpus_dir = tmp_path / "corpus"
     out_dir = tmp_path / "out"
@@ -455,3 +520,15 @@ def test_every_provider_mode_exposes_the_bench_roles(tmp_path, mock, cached):
     assert (cache is not None) == cached
     for slot, method in BENCH_ROLES.values():
         assert callable(getattr(getattr(active, slot), method)), (slot, method)
+
+
+def test_bench_imports_and_patches_resolve():
+    # bench/ imports names from src and patches others by name; a rename
+    # that breaks it fails here, in about a second
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "bench")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import corpora, stub, tracing; tracing.install()"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

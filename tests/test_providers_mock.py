@@ -5,11 +5,10 @@ from viewfuse.clustering import cosine_similarity
 from viewfuse.errors import EmptyText, MissingLogprobs
 from viewfuse.model import PointCloud, Viewpoint
 from viewfuse.providers import (
-    CandidateDraft,
     GenerationConfig,
     cloud_digest,
     make_request,
-    resolve_drafts,
+    resolve_candidates,
 )
 from viewfuse.providers.mock import (
     ConceptSpace,
@@ -179,11 +178,8 @@ def test_generator_missing_logprobs_get_fallback_confidence():
 
 
 def test_resolve_drafts_median_fallback():
-    def draft(i, lps):
-        return CandidateDraft(view=Viewpoint.FRONT, text=f"t{i}", token_logprobs=lps, index=i)
-
-    out = resolve_drafts(
-        [draft(0, (-1.0,)), draft(1, (-3.0,)), draft(2, (-2.0,)), draft(3, None)]
+    out = resolve_candidates(
+        Viewpoint.FRONT, ["t0", "t1", "t2", "t3"], [(-1.0,), (-3.0,), (-2.0,), None]
     )
     assert out[3].raw_confidence == pytest.approx(2.0)  # median of 1, 3, 2
     assert out[3].token_logprobs == ()
@@ -191,9 +187,8 @@ def test_resolve_drafts_median_fallback():
 
 
 def test_resolve_drafts_empty_logprob_tuple_rejected():
-    bad = CandidateDraft(view=Viewpoint.FRONT, text="t", token_logprobs=(), index=0)
     with pytest.raises(MissingLogprobs):
-        resolve_drafts([bad])
+        resolve_candidates(Viewpoint.FRONT, ["t"], [()])
 
 
 def test_make_request_key_sensitivity():

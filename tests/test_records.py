@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import replace
 
@@ -224,14 +225,14 @@ def test_failing_encode_leaves_no_file(corpus, tmp_path, monkeypatch):
 
 def test_failing_rename_leaves_no_partial_record_or_temp_file(corpus, tmp_path, monkeypatch):
     out_dir = tmp_path / "out"
-    rename = pipeline.os.replace
+    rename = os.replace
 
     def rename_or_fail(src, dst):
         if str(dst).endswith("obj_001.json"):
             raise OSError(28, "No space left on device")
         return rename(src, dst)
 
-    monkeypatch.setattr(pipeline.os, "replace", rename_or_fail)
+    monkeypatch.setattr(os, "replace", rename_or_fail)
     with pytest.raises(OSError):
         run_corpus(corpus, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
     assert record_files(out_dir) == ["obj_000.json"]
