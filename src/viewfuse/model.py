@@ -376,6 +376,17 @@ def is_json_vector(value) -> bool:
     return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
 
 
+def encodes_as_utf8(value) -> bool:
+    """Whether every string in a parsed JSON value can be encoded as
+    UTF-8; one holding a lone surrogate (a JSON "\\ud800") cannot, so
+    no record or cache entry could hold it."""
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def load_point_cloud(path: str | Path) -> PointCloud:
     """Load a cloud from ascii PLY or a flat JSON [[x, y, z], ...] array of numbers."""
     path = Path(path)
@@ -441,6 +452,9 @@ def ingest_manifest(
             f"object_id {object_id!r} starts with {FAILURE_KEY_PREFIX!r}, "
             "which is reserved for failure records"
         )
+    for key in ("views", "point_cloud", "metadata"):
+        if not encodes_as_utf8(doc.get(key)):
+            raise ParseError(f"{key} holds a string that cannot be encoded as UTF-8")
 
     views_doc = doc.get("views")
     if not isinstance(views_doc, dict):

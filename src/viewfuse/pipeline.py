@@ -10,6 +10,7 @@ run summary instead. `run_corpus` writes each record as soon as its
 object finishes, so an aborted run keeps the records it finished.
 """
 
+import hashlib
 import itertools
 import json
 import logging
@@ -38,11 +39,11 @@ from .confidence import normalize_confidence
 from .config import PROVIDER_ROLES, PipelineConfig
 from .errors import ConfigError, DuplicateObjectId, EngineError, ParseError
 from .gating import GatingDecision, flagged_record, gate
-from .model import FAILURE_KEY_PREFIX, VIEW_ORDER, ObjectManifest, Viewpoint, ingest_manifest
-from .model import canonical_json, parse_json, read_bytes, stable_seed, write_atomic
+from .model import FAILURE_KEY_PREFIX, MAX_OBJECT_ID_BYTES, VIEW_ORDER, ObjectManifest, Viewpoint
+from .model import canonical_json, ingest_manifest, parse_json, read_bytes, stable_seed, write_atomic
 from .providers import GenerationConfig, ProviderSet
 from .providers.cache import ResponseCache, wrap_with_cache
-from .providers.http import HttpEmbedder, HttpCandidateGenerator, HttpProviderConfig
+from .providers.http import HttpCandidateGenerator, HttpEmbedder, HttpProviderConfig, KeepAliveSession
 from .providers.mock import build_mock_providers
 from .scoring import ScoredCandidate, composite_score, relevance_weights
 from .synthesis import GlobalAnnotation, ViewSelection, assemble_global
@@ -423,7 +424,7 @@ def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[li
 
     def reject(path: Path, e: EngineError) -> None:
         logger.warning("manifest %s rejected: %s", path.name, e)
-        failures.append(AnnotationRecord.failed(FAILURE_KEY_PREFIX + _printable(path.stem), e))
+        failures.append(AnnotationRecord.failed(_failure_key(path.stem), e))
 
     for path in sorted(corpus_dir.glob("*.json")):
         if path.name == MOCK_TRUTH_FILENAME:
@@ -450,6 +451,22 @@ def load_corpus_entries(corpus_dir: str | Path, cfg: PipelineConfig) -> tuple[li
                 f"object_id {object_id!r} is claimed by {len(claimants)} manifests: {names}"
             ))
     return manifests, failures
+
+
+def _failure_key(stem: str) -> str:
+    """FAILURE_KEY_PREFIX plus the printable stem, in MAX_OBJECT_ID_BYTES.
+
+    A longer key is cut at a UTF-8 character boundary and ends in "~"
+    and 16 hex digits of the stem's sha256, so two long stems that
+    share their first bytes still get two keys.
+    """
+    key = FAILURE_KEY_PREFIX + _printable(stem)
+    encoded = key.encode("utf-8")
+    if len(encoded) <= MAX_OBJECT_ID_BYTES:
+        return key
+    digest = hashlib.sha256(stem.encode("utf-8", "surrogateescape")).hexdigest()[:16]
+    head = encoded[: MAX_OBJECT_ID_BYTES - len(digest) - 1].decode("utf-8", "ignore")
+    return f"{head}~{digest}"
 
 
 def _printable(name: str) -> str:
@@ -481,11 +498,14 @@ def build_providers(
                 raise ConfigError(
                     f"provider role {role!r} not configured (or run with mocks)"
                 )
+        # one session for the four roles, so each thread keeps one
+        # connection per endpoint host, not one per role
+        session = KeepAliveSession()
         backing = ProviderSet(
-            generator=HttpCandidateGenerator(_http_config(cfg.providers["generate"])),
-            text_embedder=HttpEmbedder(_http_config(cfg.providers["embed_text"])),
-            image_embedder=HttpEmbedder(_http_config(cfg.providers["embed_image"])),
-            cloud_embedder=HttpEmbedder(_http_config(cfg.providers["embed_cloud"])),
+            generator=HttpCandidateGenerator(_http_config(cfg.providers["generate"]), session=session),
+            text_embedder=HttpEmbedder(_http_config(cfg.providers["embed_text"]), session=session),
+            image_embedder=HttpEmbedder(_http_config(cfg.providers["embed_image"]), session=session),
+            cloud_embedder=HttpEmbedder(_http_config(cfg.providers["embed_cloud"]), session=session),
         )
     cache = None
     active = backing

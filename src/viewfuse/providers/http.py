@@ -17,27 +17,35 @@ over a list: "choices[].text" collects the text field of every choice.
 A batch call sends one request per item, FANOUT_WIDTH at a time, and
 checks the answers in input order on the calling thread. Transport
 errors, HTTP 429 and 5xx answers are retried with backoff; other
-error statuses fail at once.
+error statuses, redirects included, fail at once.
+
+Requests go out over stdlib http.client: one kept-alive connection per
+thread and per (scheme, host, port), so each fan-out slot reuses its
+own connection.
 """
 
+import base64
 import concurrent.futures
+import http.client
+import json
 import logging
 import os
 import re
+import ssl
+import threading
 import time
+import urllib.parse
+import urllib.request
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
-
-import requests
-import requests.adapters
 
 from ..errors import (
     DimensionContractViolation,
     MalformedProviderResponse,
     ProviderUnavailable,
 )
-from ..model import EmbeddingVector, PointCloud, Viewpoint, is_json_vector
+from ..model import EmbeddingVector, PointCloud, Viewpoint, encodes_as_utf8, is_json_vector
 from . import GenerationConfig, resolve_candidates
 
 logger = logging.getLogger(__name__)
@@ -47,7 +55,7 @@ BACKOFF_SECONDS = 1.0
 # longest wait a Retry-After header can ask for between two attempts
 RETRY_AFTER_CAP_SECONDS = 30.0
 # requests of one batch in flight at once, across every adapter in the
-# process; each session's connection pool holds as many connections
+# process; each fan-out thread keeps its own connection per host
 FANOUT_WIDTH = 8
 _FANOUT = concurrent.futures.ThreadPoolExecutor(
     max_workers=FANOUT_WIDTH, thread_name_prefix="viewfuse-http"
@@ -140,12 +148,144 @@ def extract_path_lenient(doc: Any, path: str) -> Any:
     return _walk(doc, _tokenize_path(path), path, lenient=True)
 
 
-def _new_session() -> requests.Session:
-    session = requests.Session()
-    adapter = requests.adapters.HTTPAdapter(pool_maxsize=FANOUT_WIDTH)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+@dataclass(frozen=True)
+class _Route:
+    """How the requests to one URL are sent."""
+
+    # (scheme, host, port) of the URL: each thread keeps one connection per key
+    key: tuple[str, str, int]
+    # where the connection goes: the URL's host, or the proxy
+    host: str
+    port: int
+    # the request line's target: the path, or the whole URL through a plain HTTP proxy
+    target: str
+    # sent with every request: the credentials of a plain HTTP proxy
+    headers: dict = field(default_factory=dict)
+    # (host, port, headers) of the CONNECT tunnel to an HTTPS host behind a proxy
+    tunnel: tuple[str, int, dict] | None = None
+
+
+@dataclass(frozen=True)
+class _Reply:
+    status_code: int
+    headers: http.client.HTTPMessage
+    body: bytes
+
+    def json(self) -> Any:
+        return json.loads(self.body)
+
+
+class KeepAliveSession:
+    """POSTs JSON over stdlib http.client.
+
+    Each thread keeps one connection alive per (scheme, host, port), so
+    the fan-out threads never share a connection and need no lock.
+    Proxies are read from the environment once, when the session is
+    made: `http_proxy` and `https_proxy` name a plain HTTP proxy, HTTPS
+    reaches its host through a CONNECT tunnel, and `no_proxy` lists the
+    hosts reached directly. TLS is verified with
+    ssl.create_default_context(). Redirects are returned, not followed.
+    """
+
+    def __init__(self):
+        self._proxies = urllib.request.getproxies()
+        self._routes: dict[str, _Route] = {}
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._tls: ssl.SSLContext | None = None
+
+    def post(self, url: str, json=None, headers=None, timeout=None) -> _Reply:
+        """Send `json` as the body, as json.dumps(allow_nan=False) in UTF-8.
+
+        A kept-alive connection that fails before the status line
+        arrives (the server closed it while it was idle) is reopened
+        and the request sent again at once, a single time.
+        """
+        route = self._routes.get(url) or self._route(url)
+        body = _json_body(json)
+        if route.headers:
+            headers = {**route.headers, **(headers or {})}
+        conn = self._connection(route)
+        if conn.timeout != timeout:
+            conn.timeout = timeout
+            if conn.sock is not None:
+                conn.sock.settimeout(timeout)
+        for fresh in (conn.sock is None, True):
+            try:
+                conn.request("POST", route.target, body, headers or {})
+                response = conn.getresponse()
+                break
+            except BaseException as e:
+                conn.close()
+                if fresh or not isinstance(e, ConnectionError):
+                    raise
+        try:
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        return _Reply(response.status, response.headers, data)
+
+    def close(self) -> None:
+        """Close every connection the session opened, in every thread."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
+
+    def _route(self, url: str) -> _Route:
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ProviderUnavailable(f"{url!r} is not an http:// or https:// URL")
+        try:
+            port = parts.port or (443 if parts.scheme == "https" else 80)
+        except ValueError as e:
+            raise ProviderUnavailable(f"{url!r} has a bad port: {e}") from None
+        key = (parts.scheme, parts.hostname, port)
+        path = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        proxy = self._proxies.get(parts.scheme)
+        if not proxy or urllib.request.proxy_bypass_environment(
+            f"{parts.hostname}:{port}", self._proxies
+        ):
+            route = _Route(key, parts.hostname, port, path)
+        else:
+            proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            auth = {}
+            if proxy.username is not None:
+                user = urllib.parse.unquote(proxy.username)
+                password = urllib.parse.unquote(proxy.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+                auth["Proxy-Authorization"] = f"Basic {token}"
+            at = (key, proxy.hostname, proxy.port or 80)
+            if parts.scheme == "https":
+                route = _Route(*at, path, tunnel=(parts.hostname, port, auth))
+            else:
+                route = _Route(*at, urllib.parse.urlunsplit(parts._replace(fragment="")), auth)
+        self._routes[url] = route
+        return route
+
+    def _connection(self, route: _Route) -> http.client.HTTPConnection:
+        conns = getattr(self._local, "conns", None)
+        if conns is None:
+            conns = self._local.conns = {}
+        conn = conns.get(route.key)
+        if conn is None:
+            if route.key[0] == "https":
+                if self._tls is None:
+                    self._tls = ssl.create_default_context()
+                conn = http.client.HTTPSConnection(route.host, route.port, context=self._tls)
+            else:
+                conn = http.client.HTTPConnection(route.host, route.port)
+            if route.tunnel is not None:
+                conn.set_tunnel(*route.tunnel)
+            conns[route.key] = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+
+def _json_body(doc) -> bytes:
+    return json.dumps(doc, allow_nan=False).encode("utf-8")
 
 
 def _retry_after(response) -> float | None:
@@ -160,7 +300,7 @@ def _retry_after(response) -> float | None:
 class _HttpBase:
     def __init__(self, config: HttpProviderConfig, session=None, sleep=time.sleep):
         self.config = config
-        self.session = session if session is not None else _new_session()
+        self.session = session if session is not None else KeepAliveSession()
         self.sleep = sleep
         self.model_id = config.model or config.endpoint
 
@@ -189,7 +329,7 @@ class _HttpBase:
                     headers=self._headers(),
                     timeout=self.config.timeout,
                 )
-            except (requests.ConnectionError, requests.Timeout) as e:
+            except (OSError, http.client.HTTPException) as e:
                 last_error = e
                 retry_after = None
                 continue
@@ -198,7 +338,7 @@ class _HttpBase:
                 last_error = f"HTTP {status}"
                 retry_after = _retry_after(response)
                 continue
-            if status >= 400:
+            if status >= 300:
                 raise ProviderUnavailable(f"{self.config.endpoint} answered HTTP {status}")
             try:
                 return response.json()
@@ -262,6 +402,10 @@ class HttpCandidateGenerator(_HttpBase):
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise MalformedProviderResponse(
                 f"{self.config.texts_path!r} did not yield a list of strings"
+            )
+        if not encodes_as_utf8(texts):
+            raise MalformedProviderResponse(
+                f"{self.config.texts_path!r} holds a text that cannot be encoded as UTF-8"
             )
         if len(texts) != cfg.num_candidates:
             raise MalformedProviderResponse(

@@ -1,8 +1,14 @@
+import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-import requests
 
 from viewfuse.errors import (
     DimensionContractViolation,
@@ -178,6 +184,15 @@ def test_generator_misaligned_separate_logprob_array_rejected():
         gen.generate_candidates(Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=2))
 
 
+@pytest.mark.parametrize("text", ["a lone \ud800 surrogate", "\udcff"])
+def test_generator_rejects_a_text_that_cannot_be_encoded_as_utf8(text):
+    # a record or cache entry holding it could not be written
+    session = FakeSession(gen_response(["a mug", text]))
+    gen = HttpCandidateGenerator(GEN_CONFIG, session=session, sleep=lambda s: None)
+    with pytest.raises(MalformedProviderResponse, match="cannot be encoded as UTF-8"):
+        gen.generate_candidates(Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=2))
+
+
 def test_generator_non_numeric_logprobs_rejected():
     doc = {"choices": [{"text": "a", "logprobs": ["high", "low"]}]}
     gen = HttpCandidateGenerator(GEN_CONFIG, session=FakeSession(FakeResponse(doc)), sleep=lambda s: None)
@@ -188,8 +203,8 @@ def test_generator_non_numeric_logprobs_rejected():
 def test_transport_errors_retry_with_backoff():
     slept = []
     session = FakeSession(
-        requests.ConnectionError("down"),
-        requests.Timeout("slow"),
+        ConnectionError("down"),
+        TimeoutError("slow"),
         gen_response(["ok"]),
     )
     gen = HttpCandidateGenerator(GEN_CONFIG, session=session, sleep=slept.append)
@@ -201,9 +216,9 @@ def test_transport_errors_retry_with_backoff():
 
 def test_transport_errors_exhaust_attempts():
     session = FakeSession(
-        requests.ConnectionError("a"),
-        requests.ConnectionError("b"),
-        requests.ConnectionError("c"),
+        ConnectionError("a"),
+        ConnectionError("b"),
+        ConnectionError("c"),
     )
     gen = HttpCandidateGenerator(GEN_CONFIG, session=session, sleep=lambda s: None)
     with pytest.raises(ProviderUnavailable):
@@ -395,7 +410,7 @@ FAILURES = {
         MalformedProviderResponse,
     ),
     "parse-before-transport": (
-        {"text 2": emb_response([]), "text 9": requests.ConnectionError("down")},
+        {"text 2": emb_response([]), "text 9": ConnectionError("down")},
         MalformedProviderResponse,
     ),
 }
@@ -426,7 +441,270 @@ def test_batch_reports_the_first_wrong_dimension_in_input_order():
         emb.embed_texts(TEXTS)
 
 
-def test_default_session_pools_one_connection_per_fanout_slot():
-    emb = HttpEmbedder(EMB_CONFIG)
-    for url in ("http://127.0.0.1/embed", EMB_CONFIG.endpoint):
-        assert emb.session.get_adapter(url)._pool_maxsize == FANOUT_WIDTH
+class Loopback(ThreadingHTTPServer):
+    """A loopback HTTP/1.1 server for the default session to talk to.
+
+    `answer(handler, index, body)` replies to the index-th request (from
+    0, in arrival order). The server counts the connections it accepts
+    and keeps each request's target and headers.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, answer):
+        super().__init__(("127.0.0.1", 0), LoopbackHandler)
+        self.answer = answer
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.requests = []  # (target, headers)
+        self.thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self.thread.start()
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out and left is expected here
+
+    def stop(self):
+        self.shutdown()
+        self.server_close()
+
+
+class LoopbackHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            index = len(self.server.requests)
+            self.server.requests.append((self.path, self.headers))
+        self.server.answer(self, index, json.loads(body))
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self.server.requests.append((self.path, self.headers))
+        reply(self, {"error": "no tunnels here"}, status=502)
+
+    def log_message(self, format, *args):
+        pass
+
+
+def reply(handler, doc, status=200, headers=()):
+    """Answer in one write, with a Content-Length and keep-alive."""
+    body = json.dumps(doc).encode("utf-8")
+    head = [f"HTTP/1.1 {status} X", "Content-Type: application/json",
+            f"Content-Length: {len(body)}", *headers, "", ""]
+    handler.wfile.write("\r\n".join(head).encode("ascii") + body)
+
+
+def refuse_to_sleep(seconds):
+    raise AssertionError(f"asked to sleep {seconds} s")
+
+
+def answer_embedding(handler, index, body):
+    reply(handler, {"data": [{"embedding": [float(len(body["input"])), 1.0]}]})
+
+
+@pytest.fixture
+def loopback():
+    servers = []
+
+    def start(answer=answer_embedding):
+        servers.append(Loopback(answer))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def loopback_embedder(server, sleep, **overrides):
+    config = HttpProviderConfig(
+        endpoint=f"{server.url}/embed", request_template={"input": "{text}"}, **overrides
+    )
+    return HttpEmbedder(config, sleep=sleep)
+
+
+def test_fanned_out_batches_reuse_one_connection_per_slot(loopback):
+    def slow(handler, index, body):
+        time.sleep(0.1)  # every fan-out slot takes an item before any finishes
+        answer_embedding(handler, index, body)
+
+    server = loopback(slow)
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        emb.embed_text("on the calling thread")
+        emb.embed_texts(TEXTS[: 2 * FANOUT_WIDTH])
+        after_first = server.connections
+        vecs = emb.embed_texts(TEXTS[: 2 * FANOUT_WIDTH])
+    finally:
+        emb.session.close()
+    assert [v.values[0] for v in vecs] == [float(len(t)) for t in TEXTS[: 2 * FANOUT_WIDTH]]
+    assert len(server.requests) == 1 + 4 * FANOUT_WIDTH
+    assert 1 < after_first <= FANOUT_WIDTH + 1
+    assert server.connections == after_first  # the second batch opened none
+
+
+def test_connection_closed_while_idle_is_reopened_without_backoff(loopback):
+    closed = threading.Event()
+
+    def close_after_first(handler, index, body):
+        answer_embedding(handler, index, body)  # announces keep-alive
+        if index == 0:
+            handler.close_connection = True
+            handler.connection.shutdown(socket.SHUT_RDWR)
+            closed.set()
+
+    server = loopback(close_after_first)
+    slept = []
+    emb = loopback_embedder(server, sleep=slept.append)
+    try:
+        emb.embed_text("first")
+        assert closed.wait(5)
+        vec = emb.embed_text("second")
+    finally:
+        emb.session.close()
+    assert vec.values.tolist() == [6.0, 1.0]
+    assert slept == []
+    assert server.connections == 2
+    assert len(server.requests) == 2
+
+
+def test_chunked_reply_parses(loopback):
+    def chunked(handler, index, body):
+        doc = json.dumps({"data": [{"embedding": [0.25, 0.5, 0.75]}]}).encode("utf-8")
+        thirds = [doc[:7], doc[7:20], doc[20:]]
+        handler.wfile.write(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in thirds)
+            + b"0\r\n\r\n"
+        )
+
+    server = loopback(chunked)
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        vecs = [emb.embed_text("a"), emb.embed_text("b")]
+    finally:
+        emb.session.close()
+    assert [v.values.tolist() for v in vecs] == [[0.25, 0.5, 0.75]] * 2
+    assert server.connections == 1  # the chunked reply kept the connection
+
+
+def test_timeout_is_retried_with_backoff(loopback):
+    def stall_first(handler, index, body):
+        if index == 0:
+            time.sleep(1.0)
+        answer_embedding(handler, index, body)
+
+    server = loopback(stall_first)
+    slept = []
+    emb = loopback_embedder(server, sleep=slept.append, timeout=0.2)
+    try:
+        vec = emb.embed_text("late")
+    finally:
+        emb.session.close()
+    assert vec.values.tolist() == [4.0, 1.0]
+    assert slept == [1.0]
+    assert len(server.requests) == 2
+
+
+def test_redirect_is_not_followed(loopback):
+    server = loopback(lambda handler, index, body: reply(
+        handler, {}, status=302, headers=[f"Location: {handler.server.url}/elsewhere"]
+    ))
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        with pytest.raises(ProviderUnavailable, match="HTTP 302"):
+            emb.embed_text("x")
+    finally:
+        emb.session.close()
+    assert [target for target, _ in server.requests] == ["/embed"]
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_http_proxy_is_used_with_its_credentials(loopback, proxy_env):
+    proxy = loopback()
+    proxy_env.setenv("http_proxy", proxy.url.replace("//", "//user:p%40ss@"))
+    emb = HttpEmbedder(
+        HttpProviderConfig(endpoint="http://models.invalid:8080/embed?v=2",
+                           request_template={"input": "{text}"}),
+        sleep=refuse_to_sleep,
+    )
+    try:
+        assert emb.embed_text("abc").values.tolist() == [3.0, 1.0]
+    finally:
+        emb.session.close()
+    [(target, headers)] = proxy.requests
+    assert target == "http://models.invalid:8080/embed?v=2"
+    assert headers["Host"] == "models.invalid:8080"
+    assert headers["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"  # user:p@ss
+
+
+def test_https_through_a_proxy_asks_for_a_tunnel(loopback, proxy_env):
+    proxy = loopback()
+    proxy_env.setenv("https_proxy", proxy.url)
+    slept = []
+    emb = HttpEmbedder(
+        HttpProviderConfig(endpoint="https://models.invalid/embed",
+                           request_template={"input": "{text}"}),
+        sleep=slept.append,
+    )
+    try:
+        with pytest.raises(ProviderUnavailable, match="Tunnel connection failed: 502"):
+            emb.embed_text("abc")
+    finally:
+        emb.session.close()
+    assert [target for target, _ in proxy.requests] == ["models.invalid:443"] * 3
+    assert slept == [1.0, 2.0]
+
+
+def test_no_proxy_host_is_reached_directly(loopback, proxy_env):
+    with socket.socket() as s:  # a port nothing listens on
+        s.bind(("127.0.0.1", 0))
+        dead = s.getsockname()[1]
+    server = loopback()
+    proxy_env.setenv("http_proxy", f"http://127.0.0.1:{dead}")
+    proxy_env.setenv("no_proxy", "localhost,127.0.0.1")
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        assert emb.embed_text("abc").values.tolist() == [3.0, 1.0]
+    finally:
+        emb.session.close()
+    assert [target for target, _ in server.requests] == ["/embed"]
+
+
+@pytest.mark.parametrize("endpoint", ["ftp://models.invalid/embed", "http:///embed",
+                                      "http://models.invalid:99999/embed"])
+def test_endpoint_that_is_not_an_http_url_fails_without_retry(endpoint):
+    emb = HttpEmbedder(HttpProviderConfig(endpoint=endpoint, request_template={"input": "{text}"}),
+                       sleep=refuse_to_sleep)
+    with pytest.raises(ProviderUnavailable, match="URL|port"):
+        emb.embed_text("abc")
+
+
+def test_import_loads_neither_requests_nor_urllib3():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = (
+        "import sys, viewfuse, viewfuse.pipeline\n"
+        "loaded = sorted({'requests', 'urllib3'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

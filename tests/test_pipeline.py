@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -404,6 +405,72 @@ def test_id_or_name_that_cannot_name_a_record_fails_only_its_object(tmp_path, da
     if error is not None:
         failed = json.loads((out_dir / "records" / f"{keys[0]}.json").read_text(encoding="utf-8"))
         assert (failed["status"], failed["error"]) == ("failed", error)
+
+
+def _edit_obj_001(edit):
+    def damage(corpus_dir):
+        path = corpus_dir / "obj_001.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        # json.dumps escapes a lone surrogate as \ud800
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    return damage
+
+
+# Each of these aborted the run with UnicodeEncodeError when the record
+# was written, before flagged.jsonl or run_summary.json.
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["metadata"].update(note="x\ud800"), "metadata"),
+        (lambda doc: doc["metadata"].update({"n\udcffte": "x"}), "metadata"),
+        (lambda doc: doc["views"].update(top="top\ud800.png"), "views"),
+        (lambda doc: doc.update(point_cloud=doc["point_cloud"] + "\udfff"), "point_cloud"),
+    ],
+    ids=["metadata-value", "metadata-key", "view-ref", "point-cloud"],
+)
+def test_lone_surrogate_in_a_manifest_fails_only_its_object(tmp_path, edit, field):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=3, seed=0)
+    _edit_obj_001(edit)(corpus_dir)
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert (summary["objects"], summary["ok"], summary["failed"]) == (3, 2, 1)
+    names = sorted(p.name for p in (out_dir / "records").iterdir())
+    assert names == ["@obj_001.json", "obj_000.json", "obj_002.json"]
+    failed = json.loads((out_dir / "records" / "@obj_001.json").read_text(encoding="utf-8"))
+    assert failed["error"] == f"ParseError: {field} holds a string that cannot be encoded as UTF-8"
+
+
+def test_over_long_failure_keys_are_cut_and_told_apart(tmp_path):
+    # 245- and 250-byte names whose stems share their first 240 bytes,
+    # and a 245-byte name of two-byte characters
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=2, seed=0)
+    stems = ["y" * 240, "y" * 245, "\u00e9" * 120]
+    for stem in stems:
+        (corpus_dir / f"{stem}.json").write_text("[]")
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert (summary["objects"], summary["ok"], summary["failed"]) == (5, 2, 3)
+    keys = sorted(p.name[: -len(".json")] for p in (out_dir / "records").iterdir())
+    expected = sorted(
+        ["obj_000", "obj_001"]
+        + [("@" + stem).encode("utf-8")[: MAX_OBJECT_ID_BYTES - 17].decode("utf-8", "ignore")
+           + "~" + hashlib.sha256(stem.encode("utf-8")).hexdigest()[:16] for stem in stems]
+    )
+    assert keys == expected
+    assert all(len(k.encode("utf-8")) <= MAX_OBJECT_ID_BYTES for k in keys)
+    assert len(set(keys)) == 5
+    for key in keys[:3]:
+        failed = json.loads((out_dir / "records" / f"{key}.json").read_text(encoding="utf-8"))
+        assert (failed["object_id"], failed["error"]) == (
+            key, "ParseError: manifest root must be a JSON object"
+        )
 
 
 def test_run_corpus_writes_all_outputs(tmp_path):
