@@ -160,13 +160,13 @@ class PointCloud:
     def __repr__(self) -> str:
         return f"PointCloud(count={self.count})"
 
-    def digest_payload(self, decimals: int = 6) -> bytes:
-        """Stable byte serialization of rounded coordinates.
+    def digest_payload(self) -> bytes:
+        """Stable byte serialization of coordinates rounded to 6 decimals.
 
         Rounding keeps the digest identical across platforms that
         format floats differently at the last ulp.
         """
-        rounded = np.round(self.points, decimals)
+        rounded = np.round(self.points, 6)
         # normalize -0.0 so the text form is unique
         rounded = rounded + 0.0
         template = "\n".join(["%.6f,%.6f,%.6f"] * rounded.shape[0])
@@ -366,14 +366,19 @@ def is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def is_json_vector(value) -> bool:
-    """Whether a parsed JSON value is a non-empty list of JSON numbers.
+def is_json_number_list(value) -> bool:
+    """Whether a parsed JSON value is a list of JSON numbers, maybe empty.
 
     Python's JSON parser makes numbers exactly int or float (true and
     false are bool), so the element types are compared as a set,
     without a Python call per element.
     """
-    return isinstance(value, list) and bool(value) and set(map(type, value)) <= {int, float}
+    return isinstance(value, list) and set(map(type, value)) <= {int, float}
+
+
+def is_json_vector(value) -> bool:
+    """Whether a parsed JSON value is a non-empty list of JSON numbers."""
+    return is_json_number_list(value) and bool(value)
 
 
 def encodes_as_utf8(value) -> bool:

@@ -151,13 +151,16 @@ def _run_bandit(
     scored: list[ScoredCandidate],
     reps: list[int],
     cfg: PipelineConfig,
-    rng: random.Random,
+    object_id: str,
+    view: Viewpoint,
 ) -> tuple[BanditTrace, list[tuple[int, float]]]:
     """R rounds of selection among canonical arms; pick the most-pulled.
 
-    Returns the pick with the `run_bandit` history it came from.
+    The RNG stream is the view's own. Returns the pick with the
+    `run_bandit` history it came from.
     """
     rewards = [compute_reward(scored[i]) for i in reps]
+    rng = random.Random(stable_seed("bandit", cfg.seed, object_id, view.value))
     history = run_bandit(cfg, rewards.__getitem__, len(reps), rng)
     pulls = pull_counts(history, len(reps))
     bandit = BanditTrace(
@@ -229,10 +232,7 @@ def annotate_object(
                     )
                 )
 
-            rng = random.Random(
-                stable_seed("bandit", cfg.seed, manifest.object_id, view.value)
-            )
-            bandit, _ = _run_bandit(scored, reps, cfg, rng)
+            bandit, _ = _run_bandit(scored, reps, cfg, manifest.object_id, view)
             chosen = scored[bandit.selected_candidate_index]
             selections.append(
                 ViewSelection(view=view, text=chosen.text, score=chosen.composite_score)
@@ -393,9 +393,8 @@ def replay_bandit(view_doc: dict, cfg: PipelineConfig, object_id: str) -> list[d
         )
         for c in view_doc["candidates"]
     ]
-    rng = random.Random(stable_seed("bandit", cfg.seed, object_id, view.value))
     arms = view_doc["bandit"]["arm_candidate_indices"]
-    replayed, history = _run_bandit(scored, arms, cfg, rng)
+    replayed, history = _run_bandit(scored, arms, cfg, object_id, view)
     if asdict(replayed) != view_doc["bandit"]:
         raise ConfigError(
             f"{object_id} view {view.value}: record was not made with this configuration"

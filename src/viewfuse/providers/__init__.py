@@ -2,17 +2,17 @@
 
 The engine needs a candidate generator (vision-language model), a text
 embedder (clustering space), an image-text embedder (relevance), and a
-point-cloud embedder (gating). Each is an abstract interface with a
+point-cloud embedder (gating). Each role is a base class here, with a
 deterministic mock, an HTTP adapter, and an on-disk response cache.
-The generator and the text and image embedders also take a batch, so
-one object's calls of a role can go out as one wave; a batch returns
-its results in input order.
+The generator and the text and image embedders implement only their
+batch method, so one object's calls of a role can go out as one wave;
+a batch returns its results in input order. The one-item call of each
+role is the batch of one, defined once here.
 """
 
 import hashlib
 import statistics
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from ..confidence import compute_raw_confidence
 from ..errors import MissingLogprobs
@@ -40,16 +40,14 @@ class ProviderRequest:
     """
 
     kind: str  # generate_candidates | embed_text | embed_image | embed_cloud
-    payload: str  # canonical JSON serialization of the inputs
     cache_key: str
 
 
 def make_request(kind: str, payload: dict, model_id: str) -> ProviderRequest:
-    canonical = canonical_json(payload)
     digest = hashlib.sha256(
-        f"{kind}\n{model_id}\n{canonical}".encode("utf-8")
+        f"{kind}\n{model_id}\n{canonical_json(payload)}".encode("utf-8")
     ).hexdigest()[:32]
-    return ProviderRequest(kind=kind, payload=canonical, cache_key=digest)
+    return ProviderRequest(kind=kind, cache_key=digest)
 
 
 def cloud_digest(cloud: PointCloud) -> str:
@@ -57,48 +55,56 @@ def cloud_digest(cloud: PointCloud) -> str:
     return hashlib.sha256(cloud.digest_payload()).hexdigest()
 
 
-@runtime_checkable
-class CandidateGenerator(Protocol):
-    model_id: str
+class CandidateGenerator:
+    """Vision-language model: candidate descriptions of a view image."""
 
-    def generate_candidates(
-        self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
-    ) -> list[CandidateDescription]: ...
+    model_id: str
 
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
     ) -> list[list[CandidateDescription]]:
-        """generate_candidates for each (view, image_ref), in input order."""
-        ...
+        """The candidates of each (view, image_ref), in input order."""
+        raise NotImplementedError
+
+    def generate_candidates(
+        self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
+    ) -> list[CandidateDescription]:
+        return self.generate_views([(view, image_ref)], cfg)[0]
 
 
-@runtime_checkable
-class TextEmbedder(Protocol):
+class TextEmbedder:
+    """Text embedding model: the clustering and gating space."""
+
     model_id: str
-
-    def embed_text(self, text: str) -> EmbeddingVector: ...
 
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
-        """embed_text for each text, in input order."""
-        ...
+        """The embedding of each text, in input order."""
+        raise NotImplementedError
+
+    def embed_text(self, text: str) -> EmbeddingVector:
+        return self.embed_texts([text])[0]
 
 
-@runtime_checkable
-class ImageEmbedder(Protocol):
+class ImageEmbedder:
+    """Image-text embedding model: the relevance space."""
+
     model_id: str
-
-    def embed_image(self, image_ref: str) -> EmbeddingVector: ...
 
     def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
-        """embed_image for each reference, in input order."""
-        ...
+        """The embedding of each image reference, in input order."""
+        raise NotImplementedError
+
+    def embed_image(self, image_ref: str) -> EmbeddingVector:
+        return self.embed_images([image_ref])[0]
 
 
-@runtime_checkable
-class CloudEmbedder(Protocol):
+class CloudEmbedder:
+    """Point-cloud embedding model: the gating space."""
+
     model_id: str
 
-    def embed_cloud(self, cloud: PointCloud) -> EmbeddingVector: ...
+    def embed_cloud(self, cloud: PointCloud) -> EmbeddingVector:
+        raise NotImplementedError
 
 
 @dataclass

@@ -18,18 +18,9 @@ from typing import Any, Callable
 
 from ..errors import CacheCorruption, CacheDirUnwritable, ParseError
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, is_json_vector
-from ..model import canonical_json, parse_json, write_atomic
-from . import (
-    CandidateGenerator,
-    CloudEmbedder,
-    GenerationConfig,
-    ImageEmbedder,
-    ProviderRequest,
-    ProviderSet,
-    TextEmbedder,
-    cloud_digest,
-    make_request,
-)
+from ..model import canonical_json, is_json_number_list, parse_json, write_atomic
+from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
+from . import ProviderRequest, ProviderSet, cloud_digest, make_request
 
 logger = logging.getLogger(__name__)
 
@@ -134,10 +125,14 @@ def _candidate_to_doc(c: CandidateDescription) -> dict:
 
 
 def _candidate_from_doc(doc: dict) -> CandidateDescription:
+    logprobs = doc["token_logprobs"]
+    # the rule HttpCandidateGenerator applies to a fresh response
+    if not is_json_number_list(logprobs):
+        raise ValueError("cached token logprobs are not a list of JSON numbers")
     return CandidateDescription(
         view=Viewpoint(doc["view"]),
         text=doc["text"],
-        token_logprobs=tuple(doc["token_logprobs"]),
+        token_logprobs=tuple(logprobs),
         raw_confidence=doc["raw_confidence"],
         index=doc["index"],
     )
@@ -161,17 +156,14 @@ def _vector_from_doc(doc: dict) -> EmbeddingVector:
     return EmbeddingVector(doc["values"])
 
 
-class CachedCandidateGenerator:
-    def __init__(self, inner: CandidateGenerator, cache: ResponseCache):
+class _Cached:
+    def __init__(self, inner, cache: ResponseCache):
         self.inner = inner
         self.cache = cache
         self.model_id = inner.model_id
 
-    def generate_candidates(
-        self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
-    ) -> list[CandidateDescription]:
-        return self.generate_views([(view, image_ref)], cfg)[0]
 
+class CachedCandidateGenerator(_Cached, CandidateGenerator):
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
     ) -> list[list[CandidateDescription]]:
@@ -199,52 +191,24 @@ class CachedCandidateGenerator:
         )
 
 
-class CachedTextEmbedder:
-    def __init__(self, inner: TextEmbedder, cache: ResponseCache):
-        self.inner = inner
-        self.cache = cache
-        self.model_id = inner.model_id
+class CachedEmbedder(_Cached, TextEmbedder, ImageEmbedder, CloudEmbedder):
+    """Cache in front of one embedding role; like HttpEmbedder, one class
+    serves all three."""
 
-    def embed_text(self, text: str) -> EmbeddingVector:
-        return self.embed_texts([text])[0]
+    def _fetch_many(self, kind: str, field: str, items: list, embed_many) -> list:
+        """Embeddings of `items`, each keyed as `{field: item}`; misses go to `embed_many`."""
+        reqs = [make_request(kind, {field: item}, self.model_id) for item in items]
+        return self.cache.fetch_many(
+            reqs,
+            lambda misses: [_vector_to_doc(v) for v in embed_many([items[i] for i in misses])],
+            _vector_from_doc,
+        )
 
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
-        reqs = [make_request("embed_text", {"text": t}, self.model_id) for t in texts]
-        return self.cache.fetch_many(
-            reqs,
-            lambda misses: [
-                _vector_to_doc(v) for v in self.inner.embed_texts([texts[i] for i in misses])
-            ],
-            _vector_from_doc,
-        )
-
-
-class CachedImageEmbedder:
-    def __init__(self, inner: ImageEmbedder, cache: ResponseCache):
-        self.inner = inner
-        self.cache = cache
-        self.model_id = inner.model_id
-
-    def embed_image(self, image_ref: str) -> EmbeddingVector:
-        return self.embed_images([image_ref])[0]
+        return self._fetch_many("embed_text", "text", texts, self.inner.embed_texts)
 
     def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
-        reqs = [make_request("embed_image", {"image_ref": r}, self.model_id) for r in image_refs]
-        return self.cache.fetch_many(
-            reqs,
-            lambda misses: [
-                _vector_to_doc(v)
-                for v in self.inner.embed_images([image_refs[i] for i in misses])
-            ],
-            _vector_from_doc,
-        )
-
-
-class CachedCloudEmbedder:
-    def __init__(self, inner: CloudEmbedder, cache: ResponseCache):
-        self.inner = inner
-        self.cache = cache
-        self.model_id = inner.model_id
+        return self._fetch_many("embed_image", "image_ref", image_refs, self.inner.embed_images)
 
     def embed_cloud(self, cloud: PointCloud) -> EmbeddingVector:
         # key by coordinate digest: stable, and keeps keys small
@@ -258,7 +222,7 @@ def wrap_with_cache(providers: ProviderSet, cache: ResponseCache) -> ProviderSet
     """Same provider set with every call routed through the cache."""
     return ProviderSet(
         generator=CachedCandidateGenerator(providers.generator, cache),
-        text_embedder=CachedTextEmbedder(providers.text_embedder, cache),
-        image_embedder=CachedImageEmbedder(providers.image_embedder, cache),
-        cloud_embedder=CachedCloudEmbedder(providers.cloud_embedder, cache),
+        text_embedder=CachedEmbedder(providers.text_embedder, cache),
+        image_embedder=CachedEmbedder(providers.image_embedder, cache),
+        cloud_embedder=CachedEmbedder(providers.cloud_embedder, cache),
     )

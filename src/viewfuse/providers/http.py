@@ -17,7 +17,8 @@ over a list: "choices[].text" collects the text field of every choice.
 A batch call sends one request per item, FANOUT_WIDTH at a time, and
 checks the answers in input order on the calling thread. Transport
 errors, HTTP 429 and 5xx answers are retried with backoff; other
-error statuses, redirects included, fail at once.
+error statuses, redirects included, and a TLS certificate that fails
+verification fail at once.
 
 Requests go out over stdlib http.client: one kept-alive connection per
 thread and per (scheme, host, port), so each fan-out slot reuses its
@@ -45,8 +46,10 @@ from ..errors import (
     MalformedProviderResponse,
     ProviderUnavailable,
 )
-from ..model import EmbeddingVector, PointCloud, Viewpoint, encodes_as_utf8, is_json_vector
-from . import GenerationConfig, resolve_candidates
+from ..model import EmbeddingVector, PointCloud, Viewpoint, encodes_as_utf8
+from ..model import is_json_number_list, is_json_vector
+from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
+from . import resolve_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -329,6 +332,8 @@ class _HttpBase:
                     headers=self._headers(),
                     timeout=self.config.timeout,
                 )
+            except ssl.SSLCertVerificationError as e:
+                raise ProviderUnavailable(f"{self.config.endpoint}: {e}") from e
             except (OSError, http.client.HTTPException) as e:
                 last_error = e
                 retry_after = None
@@ -369,13 +374,8 @@ class _HttpBase:
             yield future.result()
 
 
-class HttpCandidateGenerator(_HttpBase):
+class HttpCandidateGenerator(_HttpBase, CandidateGenerator):
     """Generation endpoint adapter; validates the candidate count."""
-
-    def generate_candidates(
-        self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
-    ) -> list:
-        return self.generate_views([(view, image_ref)], cfg)[0]
 
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
@@ -423,19 +423,17 @@ class HttpCandidateGenerator(_HttpBase):
                     raise MalformedProviderResponse(
                         "logprobs list does not align with candidates"
                     )
-                try:
-                    logprob_lists = [
-                        tuple(float(x) for x in lp) if lp is not None else None
-                        for lp in raw
-                    ]
-                except (TypeError, ValueError):
+                if not all(lp is None or is_json_number_list(lp) for lp in raw):
                     raise MalformedProviderResponse(
                         "logprobs entries are not lists of numbers"
-                    ) from None
+                    )
+                logprob_lists = [
+                    tuple(map(float, lp)) if lp is not None else None for lp in raw
+                ]
         return resolve_candidates(view, texts, logprob_lists)
 
 
-class HttpEmbedder(_HttpBase):
+class HttpEmbedder(_HttpBase, TextEmbedder, ImageEmbedder, CloudEmbedder):
     """Embedding endpoint adapter shared by the three embedding roles."""
 
     expected_dim: int | None = None  # fixed by the first response
@@ -459,14 +457,8 @@ class HttpEmbedder(_HttpBase):
             )
         return vec
 
-    def embed_text(self, text: str) -> EmbeddingVector:
-        return self.embed_texts([text])[0]
-
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
         return self._embed_many([{"text": t} for t in texts])
-
-    def embed_image(self, image_ref: str) -> EmbeddingVector:
-        return self.embed_images([image_ref])[0]
 
     def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
         return self._embed_many([{"image": r} for r in image_refs])

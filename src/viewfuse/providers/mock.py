@@ -24,7 +24,8 @@ import numpy as np
 
 from ..errors import EmptyText
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, stable_seed
-from . import GenerationConfig, cloud_digest, resolve_candidates
+from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
+from . import ProviderSet, cloud_digest, resolve_candidates
 
 DEFAULT_DIM = 256
 # spread of each mock's embeddings around its concept anchor
@@ -84,7 +85,7 @@ def concept_from_image_ref(image_ref: str) -> str:
     return stem.split("__", 1)[0]
 
 
-class MockTextEmbedder:
+class MockTextEmbedder(TextEmbedder):
     """Embeds text near the anchor of the first concept word it contains."""
 
     def __init__(self, space: ConceptSpace):
@@ -95,21 +96,23 @@ class MockTextEmbedder:
             slug: re.compile(rf"\b{re.escape(slug)}\b") for slug in DEFAULT_CONCEPTS
         }
 
-    def embed_text(self, text: str) -> EmbeddingVector:
-        if not text:
-            raise EmptyText("cannot embed empty text")
-        self.calls += 1
-        lowered = text.lower()
-        for slug, pattern in self._patterns.items():
-            if pattern.search(lowered):
-                return self.space.noisy_anchor(slug, f"text:{lowered}", TEXT_NOISE)
-        return self.space.off_anchor(f"text:{lowered}")
-
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
-        return [self.embed_text(t) for t in texts]
+        vectors = []
+        for text in texts:
+            if not text:
+                raise EmptyText("cannot embed empty text")
+            self.calls += 1
+            lowered = text.lower()
+            for slug, pattern in self._patterns.items():
+                if pattern.search(lowered):
+                    vectors.append(self.space.noisy_anchor(slug, f"text:{lowered}", TEXT_NOISE))
+                    break
+            else:
+                vectors.append(self.space.off_anchor(f"text:{lowered}"))
+        return vectors
 
 
-class MockImageEmbedder:
+class MockImageEmbedder(ImageEmbedder):
     """Embeds an image reference near its concept's anchor."""
 
     def __init__(self, space: ConceptSpace):
@@ -117,18 +120,18 @@ class MockImageEmbedder:
         self.model_id = "mock:image-embedder"
         self.calls = 0
 
-    def embed_image(self, image_ref: str) -> EmbeddingVector:
-        if not image_ref:
-            raise EmptyText("cannot embed empty image reference")
-        self.calls += 1
-        slug = concept_from_image_ref(image_ref)
-        return self.space.noisy_anchor(slug, f"image:{image_ref}", IMAGE_NOISE)
-
     def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
-        return [self.embed_image(r) for r in image_refs]
+        vectors = []
+        for image_ref in image_refs:
+            if not image_ref:
+                raise EmptyText("cannot embed empty image reference")
+            self.calls += 1
+            slug = concept_from_image_ref(image_ref)
+            vectors.append(self.space.noisy_anchor(slug, f"image:{image_ref}", IMAGE_NOISE))
+        return vectors
 
 
-class MockCloudEmbedder:
+class MockCloudEmbedder(CloudEmbedder):
     """Embeds a point cloud via the digest-to-concept truth table."""
 
     def __init__(self, space: ConceptSpace, truth: dict[str, str] | None = None):
@@ -146,7 +149,7 @@ class MockCloudEmbedder:
         return self.space.noisy_anchor(slug, f"cloud:{digest}", CLOUD_NOISE)
 
 
-class MockCandidateGenerator:
+class MockCandidateGenerator(CandidateGenerator):
     """Synthesizes per-view candidates with controllable quality.
 
     Output is a pure function of (seed, view, image_ref, cfg): texts,
@@ -176,41 +179,37 @@ class MockCandidateGenerator:
         tail = f"The {view.value} side shows {_DETAILS[int(rng.integers(len(_DETAILS)))]}."
         return f"{head} {tail}"
 
-    def generate_candidates(
-        self, view: Viewpoint, image_ref: str, cfg: GenerationConfig
-    ) -> list[CandidateDescription]:
-        self.calls += 1
-        concept = concept_from_image_ref(image_ref)
-        key = f"gen:{self.seed}:{image_ref}:{view.value}:{cfg.temperature}:{cfg.num_candidates}"
-        rng = np.random.default_rng(stable_seed(key))
-        texts, logprob_lists = [], []
-        for _ in range(cfg.num_candidates):
-            quality = float(rng.uniform(*QUALITY_RANGE))
-            subject = concept
-            if float(rng.random()) < self.hallucination_rate:
-                others = [c for c in DEFAULT_CONCEPTS if c != concept]
-                subject = others[int(rng.integers(len(others)))]
-                quality *= 0.6  # hallucinations read as less certain
-            text = self._compose_text(rng, subject, view)
-            n_tokens = int(rng.integers(8, 16))
-            magnitudes = np.abs(rng.normal(0.0, 0.35, size=n_tokens))
-            logprobs = tuple(float(-(0.02 + m) * (1.2 - quality)) for m in magnitudes)
-            if float(rng.random()) < self.missing_logprob_rate:
-                logprobs = None
-            texts.append(text)
-            logprob_lists.append(logprobs)
-        return resolve_candidates(view, texts, logprob_lists)
-
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
     ) -> list[list[CandidateDescription]]:
-        return [self.generate_candidates(view, ref, cfg) for view, ref in items]
+        results = []
+        for view, image_ref in items:
+            self.calls += 1
+            concept = concept_from_image_ref(image_ref)
+            key = f"gen:{self.seed}:{image_ref}:{view.value}:{cfg.temperature}:{cfg.num_candidates}"
+            rng = np.random.default_rng(stable_seed(key))
+            texts, logprob_lists = [], []
+            for _ in range(cfg.num_candidates):
+                quality = float(rng.uniform(*QUALITY_RANGE))
+                subject = concept
+                if float(rng.random()) < self.hallucination_rate:
+                    others = [c for c in DEFAULT_CONCEPTS if c != concept]
+                    subject = others[int(rng.integers(len(others)))]
+                    quality *= 0.6  # hallucinations read as less certain
+                text = self._compose_text(rng, subject, view)
+                n_tokens = int(rng.integers(8, 16))
+                magnitudes = np.abs(rng.normal(0.0, 0.35, size=n_tokens))
+                logprobs = tuple(float(-(0.02 + m) * (1.2 - quality)) for m in magnitudes)
+                if float(rng.random()) < self.missing_logprob_rate:
+                    logprobs = None
+                texts.append(text)
+                logprob_lists.append(logprobs)
+            results.append(resolve_candidates(view, texts, logprob_lists))
+        return results
 
 
 def build_mock_providers(seed: int = 0, truth: dict[str, str] | None = None):
     """One coherent mock stack sharing a concept space."""
-    from . import ProviderSet
-
     space = ConceptSpace()
     return ProviderSet(
         generator=MockCandidateGenerator(seed=seed),

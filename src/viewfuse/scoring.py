@@ -54,7 +54,11 @@ def relevance_weights(
 
 
 def composite_score(norm_conf: float, relevance: float, blend_ratio: float) -> float:
-    """Convex combination: (1 - blend) * confidence + blend * relevance."""
+    """Convex combination: (1 - blend) * confidence + blend * relevance.
+
+    At blend 0 and 1 the formula gives the confidence and the relevance
+    exactly, since both lie in [0, 1].
+    """
     for name, value, lo, hi in (
         ("norm_conf", norm_conf, 0.0, 1.0),
         ("relevance", relevance, 0.0, 1.0),
@@ -62,8 +66,4 @@ def composite_score(norm_conf: float, relevance: float, blend_ratio: float) -> f
     ):
         if not math.isfinite(value) or value < lo or value > hi:
             raise OutOfRangeArgument(f"{name} must be in [{lo}, {hi}], got {value!r}")
-    if blend_ratio == 0.0:
-        return norm_conf
-    if blend_ratio == 1.0:
-        return relevance
     return (1.0 - blend_ratio) * norm_conf + blend_ratio * relevance

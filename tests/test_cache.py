@@ -11,7 +11,7 @@ import pytest
 from viewfuse.errors import CacheCorruption, CacheDirUnwritable
 from viewfuse.model import PointCloud, Viewpoint
 from viewfuse.providers import GenerationConfig, make_request
-from viewfuse.providers.cache import CachedTextEmbedder, ResponseCache, wrap_with_cache
+from viewfuse.providers.cache import CachedEmbedder, ResponseCache, wrap_with_cache
 from viewfuse.providers.mock import build_mock_providers
 
 CFG = GenerationConfig(temperature=0.7, num_candidates=5)
@@ -241,6 +241,20 @@ DAMAGES = {
     "empty-list": ("generate_candidates", lambda doc: {"candidates": []}),
     "string-component": ("embed_text", lambda doc: {"values": doc["values"][:-1] + ["0.5"]}),
     "bool-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [True]}),
+    # a consistent candidate but for the types: false would read as a
+    # certain token, and float() would take the string
+    "bool-logprobs": (
+        "generate_candidates",
+        lambda doc: {"candidates": [
+            {**c, "token_logprobs": [False, False], "raw_confidence": 0.0} for c in doc["candidates"]
+        ]},
+    ),
+    "string-logprobs": (
+        "generate_candidates",
+        lambda doc: {"candidates": [
+            {**c, "token_logprobs": [str(lp) for lp in c["token_logprobs"]]} for c in doc["candidates"]
+        ]},
+    ),
 }
 
 
@@ -317,7 +331,7 @@ def test_cached_batch_sends_only_misses_in_one_call(tmp_path):
     warm.text_embedder.embed_text("A mug.")
     warm.text_embedder.embed_text("A vase.")
     spy = BatchSpy(backing.text_embedder)
-    cached = CachedTextEmbedder(spy, cache)
+    cached = CachedEmbedder(spy, cache)
 
     assert cached.embed_texts(texts) == expected
     # a key repeated in the batch is fetched once; the repeat is a hit

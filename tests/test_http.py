@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -13,6 +15,7 @@ import pytest
 from viewfuse.errors import (
     DimensionContractViolation,
     MalformedProviderResponse,
+    MissingLogprobs,
     ProviderUnavailable,
 )
 from viewfuse.model import Viewpoint
@@ -193,10 +196,23 @@ def test_generator_rejects_a_text_that_cannot_be_encoded_as_utf8(text):
         gen.generate_candidates(Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=2))
 
 
-def test_generator_non_numeric_logprobs_rejected():
-    doc = {"choices": [{"text": "a", "logprobs": ["high", "low"]}]}
+# JSON strings and booleans are not numbers, even where float() would take them
+@pytest.mark.parametrize(
+    "logprobs",
+    [["high", "low"], ["-0.5"], [False], [True]],
+    ids=["words", "numeric-string", "false", "true"],
+)
+def test_generator_non_numeric_logprobs_rejected(logprobs):
+    doc = {"choices": [{"text": "a", "logprobs": logprobs}]}
     gen = HttpCandidateGenerator(GEN_CONFIG, session=FakeSession(FakeResponse(doc)), sleep=lambda s: None)
     with pytest.raises(MalformedProviderResponse):
+        gen.generate_candidates(Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=1))
+
+
+def test_generator_empty_logprob_list_is_missing_logprobs():
+    doc = {"choices": [{"text": "a", "logprobs": []}]}
+    gen = HttpCandidateGenerator(GEN_CONFIG, session=FakeSession(FakeResponse(doc)), sleep=lambda s: None)
+    with pytest.raises(MissingLogprobs):
         gen.generate_candidates(Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=1))
 
 
@@ -686,6 +702,69 @@ def test_no_proxy_host_is_reached_directly(loopback, proxy_env):
     finally:
         emb.session.close()
     assert [target for target, _ in server.requests] == ["/embed"]
+
+
+class TlsLoopback(Loopback):
+    """The loopback server over TLS, counting the handshakes it starts."""
+
+    def __init__(self, answer, cert, key):
+        self.tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        self.tls.load_cert_chain(cert, key)
+        self.handshakes = 0  # only the serving thread counts
+        super().__init__(answer)
+
+    @property
+    def url(self):
+        return f"https://127.0.0.1:{self.server_address[1]}"
+
+    def get_request(self):
+        sock, address = self.socket.accept()
+        self.handshakes += 1
+        return self.tls.wrap_socket(sock, server_side=True), address
+
+
+@pytest.fixture
+def tls_loopback(tmp_path, proxy_env):
+    """A TLS loopback server with a throwaway self-signed certificate
+    for 127.0.0.1, and the path of that certificate."""
+    if shutil.which("openssl") is None:
+        pytest.skip("the openssl command is needed to make a certificate")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "2",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True, timeout=60,
+    )
+    server = TlsLoopback(answer_embedding, cert, key)
+    yield server, cert
+    server.stop()
+
+
+def test_https_with_a_trusted_certificate_is_served(tls_loopback, monkeypatch):
+    server, cert = tls_loopback
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert))  # read by ssl.create_default_context()
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        vecs = emb.embed_texts(["a", "bb", "ccc"])
+    finally:
+        emb.session.close()
+    assert [v.values.tolist() for v in vecs] == [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
+    assert len(server.requests) == 3
+
+
+def test_untrusted_certificate_fails_at_once(tls_loopback, monkeypatch):
+    server, _cert = tls_loopback
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        with pytest.raises(ProviderUnavailable, match="CERTIFICATE_VERIFY_FAILED"):
+            emb.embed_text("x")
+    finally:
+        emb.session.close()
+    assert server.handshakes == 1
+    assert server.requests == []
 
 
 @pytest.mark.parametrize("endpoint", ["ftp://models.invalid/embed", "http:///embed",
