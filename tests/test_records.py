@@ -129,6 +129,38 @@ REPLAYED_TRACES_SHA256 = {
 }
 
 
+# sha256 of every record file of the module's 4-object corpus (seed 42,
+# default rounds), per strategy
+RECORD_FILES_SHA256 = {
+    "ucb1": {
+        "obj_000.json": "37d23d81e0da9191499256dd7cf2d795afa8fd177991853e9723ba781a3113a2",
+        "obj_001.json": "57ffbc8e1ecdfbba7be142b316d64b43e73aed1582da17c1b78c06418d6a9623",
+        "obj_002.json": "05704e2d151f654ccf5d06f3622e06d617bbc073e35ac13faf9195b764c2654c",
+        "obj_003.json": "482ace6a9df83724d7613471fe83389afdf4d7f1e34249a70d7fce4953505aff",
+    },
+    "epsilon_greedy": {
+        "obj_000.json": "2d6680d87481709ca3f1a469dec3424c9ecbfd788ef0280d4e88efa0023e966e",
+        "obj_001.json": "3e5c8c64d3b8626637bf8ab652d481232ef4c33a138223789fb74285a740edc3",
+        "obj_002.json": "8ac81932746b2037b4be7c1e21a11905a420773f3af4174052a0ff3870a2e059",
+        "obj_003.json": "8f5c107c21a4ddce649c6d400558c7429ac582c07ffc91f36ee682c69e29c465",
+    },
+    "thompson": {
+        "obj_000.json": "be51035633daa62e1b7d2d8b615111fef61590fea92b19ed616cdde5f69d8cad",
+        "obj_001.json": "1d48e5d68739594235777cc0e29e2e73a9fb6bf45395b368c493722b2d591638",
+        "obj_002.json": "96746a6a68a87759c2af99112746c937153f11d61ba2899079e380b948362927",
+        "obj_003.json": "962b076acdf5bb542bbad3b66c07faa597ddefb0de32db21a18cb34465f9ab0c",
+    },
+}
+
+
+@pytest.mark.parametrize("strategy", ["ucb1", "epsilon_greedy", "thompson"])
+def test_record_files_are_pinned(corpus, tmp_path, strategy):
+    out_dir = tmp_path / "out"
+    run_corpus(corpus, PipelineConfig(seed=42, strategy=strategy), mock=True, out_dir=out_dir)
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in read_records(out_dir).items()}
+    assert digests == RECORD_FILES_SHA256[strategy]
+
+
 @pytest.mark.parametrize("strategy", ["ucb1", "epsilon_greedy", "thompson"])
 def test_replay_rebuilds_the_in_memory_trace(corpus, tmp_path, strategy):
     cfg = PipelineConfig(seed=42, strategy=strategy, rounds=30)
