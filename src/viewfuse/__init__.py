@@ -53,6 +53,7 @@ from .model import (
 )
 from .pipeline import (
     AnnotationRecord,
+    aggregate_object,
     annotate_object,
     record_to_doc,
     replay_bandit,
@@ -103,6 +104,7 @@ __all__ = [
     "VIEW_ORDER",
     "ViewSelection",
     "Viewpoint",
+    "aggregate_object",
     "annotate_object",
     "assemble_global",
     "build_demo_corpus",

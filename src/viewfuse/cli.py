@@ -39,10 +39,8 @@ from .simulate import (
 
 
 def _add_gaussian_args(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--mu-pos", type=float, required=required, default=None)
-    parser.add_argument("--mu-neg", type=float, required=required, default=None)
-    parser.add_argument("--sigma-pos", type=float, required=required, default=None)
-    parser.add_argument("--sigma-neg", type=float, required=required, default=None)
+    for flag in ("--mu-pos", "--mu-neg", "--sigma-pos", "--sigma-neg"):
+        parser.add_argument(flag, type=float, required=required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,6 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
     _add_gaussian_args(p_sweep, required=False)
+    # the reference pair
+    p_sweep.set_defaults(mu_pos=0.65, mu_neg=0.35, sigma_pos=0.1, sigma_neg=0.15)
     p_sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p_bandit = sub.add_parser("bandit", help="bandit tools")
@@ -114,13 +114,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _gaussian_pair(args) -> TruncatedGaussianPair:
-    values = {
-        "mu_pos": args.mu_pos if args.mu_pos is not None else 0.65,
-        "mu_neg": args.mu_neg if args.mu_neg is not None else 0.35,
-        "sigma_pos": args.sigma_pos if args.sigma_pos is not None else 0.1,
-        "sigma_neg": args.sigma_neg if args.sigma_neg is not None else 0.15,
-    }
-    return TruncatedGaussianPair(**values)
+    return TruncatedGaussianPair(
+        mu_pos=args.mu_pos, mu_neg=args.mu_neg, sigma_pos=args.sigma_pos, sigma_neg=args.sigma_neg
+    )
 
 
 def _cmd_annotate(args) -> int:
@@ -139,12 +135,7 @@ def _cmd_annotate(args) -> int:
 
 
 def _cmd_threshold_solve(args) -> int:
-    params = TruncatedGaussianPair(
-        mu_pos=args.mu_pos,
-        mu_neg=args.mu_neg,
-        sigma_pos=args.sigma_pos,
-        sigma_neg=args.sigma_neg,
-    )
+    params = _gaussian_pair(args)
     a, b, c = density_crossing_coefficients(params)
     root = solve_optimal_threshold(
         params.mu_pos, params.mu_neg, params.sigma_pos, params.sigma_neg

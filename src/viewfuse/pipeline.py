@@ -1,13 +1,15 @@
 """End-to-end orchestration over a corpus of object manifests.
 
-Stage order per object: candidate generation per view, clustering and
-scoring, bandit selection, global synthesis, then the gate. One
-object's failure is recorded, not raised, so a bad manifest cannot
-abort a batch. Output records are a pure function of (corpus, config,
-seed) under the deterministic mock providers; wall-clock timings are
-therefore kept out of the per-object record files and reported in the
-run summary instead. `run_corpus` writes each record as soon as its
-object finishes, so an aborted run keeps the records it finished.
+Stage order per object: candidate generation per view and the
+embeddings (`annotate_object`'s provider waves); clustering, scoring,
+bandit selection and global synthesis (`aggregate_object`, which does
+no I/O); then the gate. One object's failure is recorded, not raised,
+so a bad manifest cannot abort a batch. Output records are a pure
+function of (corpus, config, seed) under the deterministic mock
+providers, so they hold no wall-clock time; the run summary holds the
+wall time of each phase of the run. `run_corpus` writes each record as
+soon as its object finishes, so an aborted run keeps the records it
+finished.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -40,6 +42,7 @@ from .config import PROVIDER_ROLES, PipelineConfig
 from .errors import ConfigError, DuplicateObjectId, EngineError, ParseError
 from .gating import GatingDecision, flagged_record, gate
 from .model import FAILURE_KEY_PREFIX, MAX_OBJECT_ID_BYTES, VIEW_ORDER, ObjectManifest, Viewpoint
+from .model import CandidateDescription, EmbeddingVector
 from .model import canonical_json, ingest_manifest, parse_json, read_bytes, stable_seed, write_atomic
 from .providers import GenerationConfig, ProviderSet
 from .providers.cache import ResponseCache, wrap_with_cache
@@ -52,25 +55,8 @@ logger = logging.getLogger(__name__)
 
 RECORD_SCHEMA_VERSION = 2
 MOCK_TRUTH_FILENAME = "mock_truth.json"
-
-
-@dataclass
-class BanditTrace:
-    strategy: str
-    rounds: int
-    arm_candidate_indices: list[int]
-    pulls: list[int]
-    selected_candidate_index: int
-
-
-@dataclass
-class ViewResult:
-    view: Viewpoint
-    image_ref: str
-    candidates: list[ScoredCandidate]
-    token_logprobs: list[tuple[float, ...]]
-    bandit: BanditTrace
-    selection: ViewSelection
+# the fields of a ScoredCandidate that its record document holds under the same names
+_SCORED_KEYS = [f.name for f in fields(ScoredCandidate) if f.name != "view"]
 
 
 @dataclass
@@ -79,12 +65,12 @@ class AnnotationRecord:
     status: str  # "ok" | "failed"
     error: str | None = None
     metadata: dict = field(default_factory=dict)
-    views: list[ViewResult] = field(default_factory=list)
+    # view name -> that view's record document, as record_to_doc writes it
+    views: dict[str, dict] = field(default_factory=dict)
     global_annotation: GlobalAnnotation | None = None
     gating: GatingDecision | None = None
     # kept on the record so synthesis can be replayed from it alone
     w_fb: float | None = None
-    stage_timings: dict = field(default_factory=dict)
 
     @classmethod
     def failed(cls, object_id: str, error: EngineError, metadata: dict | None = None):
@@ -148,121 +134,116 @@ def most_pulled(pulls: list[int]) -> int:
 
 
 def _run_bandit(
-    scored: list[ScoredCandidate],
-    reps: list[int],
+    candidates: list[dict],
+    arms: list[int],
     cfg: PipelineConfig,
     object_id: str,
     view: Viewpoint,
-) -> tuple[BanditTrace, list[tuple[int, float]]]:
-    """R rounds of selection among canonical arms; pick the most-pulled.
+) -> tuple[dict, list[tuple[int, float]]]:
+    """R rounds of selection among one view's canonical arms.
 
-    The RNG stream is the view's own. Returns the pick with the
-    `run_bandit` history it came from.
+    `candidates` are the view's candidate documents and `arms` the
+    indices of the canonical ones. The RNG stream is the view's own.
+    Returns the record's bandit document, which picks the most-pulled
+    arm, with the `run_bandit` history it came from.
     """
-    rewards = [compute_reward(scored[i]) for i in reps]
+    rewards = [
+        compute_reward(ScoredCandidate(view, **{k: candidates[i][k] for k in _SCORED_KEYS}))
+        for i in arms
+    ]
     rng = random.Random(stable_seed("bandit", cfg.seed, object_id, view.value))
-    history = run_bandit(cfg, rewards.__getitem__, len(reps), rng)
-    pulls = pull_counts(history, len(reps))
-    bandit = BanditTrace(
-        strategy=cfg.strategy,
-        rounds=cfg.rounds,
-        arm_candidate_indices=list(reps),
-        pulls=pulls,
-        selected_candidate_index=reps[most_pulled(pulls)],
-    )
+    history = run_bandit(cfg, rewards.__getitem__, len(arms), rng)
+    pulls = pull_counts(history, len(arms))
+    bandit = {
+        "strategy": cfg.strategy,
+        "rounds": cfg.rounds,
+        "arm_candidate_indices": list(arms),
+        "pulls": pulls,
+        "selected_candidate_index": arms[most_pulled(pulls)],
+    }
     return bandit, history
+
+
+def aggregate_object(
+    manifest: ObjectManifest,
+    cfg: PipelineConfig,
+    candidates: list[list[CandidateDescription]],
+    image_embs: list[EmbeddingVector],
+    text_embs: list[EmbeddingVector],
+) -> AnnotationRecord:
+    """The aggregation agent: one object's record from its provider replies.
+
+    `candidates` and `image_embs` hold one entry per view in VIEW_ORDER;
+    `text_embs` holds one embedding per candidate, in that order. Each
+    view is clustered, weighted and scored, the bandit picks its text,
+    and the picks are synthesised into the global annotation. There is
+    no I/O and no clock: equal inputs give equal records. The gate needs
+    the final text's embedding, so the record comes back ungated.
+    """
+    record = AnnotationRecord(
+        manifest.object_id, "ok", metadata=dict(manifest.metadata), w_fb=cfg.w_fb
+    )
+    selections: list[ViewSelection] = []
+    start = 0
+    for view, view_candidates, image_emb in zip(VIEW_ORDER, candidates, image_embs):
+        view_text_embs = text_embs[start : start + len(view_candidates)]
+        start += len(view_candidates)
+        norm_confs = [normalize_confidence(c.raw_confidence) for c in view_candidates]
+        assignments = dbscan_cluster(view_text_embs, cfg.eps, cfg.min_pts)
+        reps = list(select_canonical(assignments, norm_confs).representatives)
+        weights = relevance_weights(image_emb, [view_text_embs[i] for i in reps])
+
+        rep_rank = {idx: pos for pos, idx in enumerate(reps)}
+        docs = []
+        for i, c in enumerate(view_candidates):
+            rel = weights.weights[rep_rank[i]] if i in rep_rank else None
+            score = None if rel is None else composite_score(norm_confs[i], rel, cfg.blend_ratio)
+            docs.append({
+                "index": i,
+                "text": c.text,
+                "token_logprobs": list(c.token_logprobs),
+                "raw_confidence": c.raw_confidence,
+                "normalized_confidence": norm_confs[i],
+                "cluster_id": assignments[i].cluster_id,
+                "is_canonical": rel is not None,
+                "relevance_weight": rel,
+                "composite_score": score,
+            })
+
+        bandit, _ = _run_bandit(docs, reps, cfg, manifest.object_id, view)
+        chosen = docs[bandit["selected_candidate_index"]]
+        selection = {"text": chosen["text"], "score": chosen["composite_score"]}
+        selections.append(ViewSelection(view=view, **selection))
+        record.views[view.value] = {
+            "view": view.value,
+            "image_ref": manifest.view_images[view],
+            "candidates": docs,
+            "bandit": bandit,
+            "selection": selection,
+        }
+    record.global_annotation = assemble_global(selections, cfg.w_fb)
+    return record
 
 
 def annotate_object(
     manifest: ObjectManifest, cfg: PipelineConfig, providers: ProviderSet
 ) -> AnnotationRecord:
-    """Run all stages for one object; failures become a failed record."""
-    record = AnnotationRecord(
-        object_id=manifest.object_id,
-        status="ok",
-        metadata=dict(manifest.metadata),
-        w_fb=cfg.w_fb,
-    )
+    """One object's provider waves around `aggregate_object`, then the
+    gate; failures become a failed record."""
     gen_cfg = GenerationConfig(
         temperature=cfg.temperature, num_candidates=cfg.num_candidates
     )
     try:
-        t0 = time.perf_counter()
         image_refs = [manifest.view_images[view] for view in VIEW_ORDER]
-        raw_candidates = providers.generator.generate_views(
-            list(zip(VIEW_ORDER, image_refs)), gen_cfg
-        )
-        t1 = time.perf_counter()
-
-        # one call per role for all views; split back per view below
+        candidates = providers.generator.generate_views(list(zip(VIEW_ORDER, image_refs)), gen_cfg)
+        # one call per role for all views; aggregate_object splits them per view
         image_embs = providers.image_embedder.embed_images(image_refs)
-        all_text_embs = providers.text_embedder.embed_texts(
-            [c.text for candidates in raw_candidates for c in candidates]
-        )
-        selections: list[ViewSelection] = []
-        start = 0
-        for view, candidates, image_emb in zip(VIEW_ORDER, raw_candidates, image_embs):
-            text_embs = all_text_embs[start : start + len(candidates)]
-            start += len(candidates)
-            norm_confs = [normalize_confidence(c.raw_confidence) for c in candidates]
-            assignments = dbscan_cluster(text_embs, cfg.eps, cfg.min_pts)
-            canonical = select_canonical(assignments, norm_confs)
-            reps = list(canonical.representatives)
-
-            weights = relevance_weights(image_emb, [text_embs[i] for i in reps])
-
-            rep_rank = {idx: pos for pos, idx in enumerate(reps)}
-            scored = []
-            for i, c in enumerate(candidates):
-                rel = weights.weights[rep_rank[i]] if i in rep_rank else None
-                scored.append(
-                    ScoredCandidate(
-                        view=view,
-                        index=i,
-                        text=c.text,
-                        cluster_id=assignments[i].cluster_id,
-                        raw_confidence=c.raw_confidence,
-                        normalized_confidence=norm_confs[i],
-                        relevance_weight=rel,
-                        composite_score=(
-                            composite_score(norm_confs[i], rel, cfg.blend_ratio)
-                            if rel is not None
-                            else None
-                        ),
-                    )
-                )
-
-            bandit, _ = _run_bandit(scored, reps, cfg, manifest.object_id, view)
-            chosen = scored[bandit.selected_candidate_index]
-            selections.append(
-                ViewSelection(view=view, text=chosen.text, score=chosen.composite_score)
-            )
-            record.views.append(
-                ViewResult(
-                    view=view,
-                    image_ref=manifest.view_images[view],
-                    candidates=scored,
-                    token_logprobs=[c.token_logprobs for c in candidates],
-                    bandit=bandit,
-                    selection=selections[-1],
-                )
-            )
-        t2 = time.perf_counter()
-
-        record.global_annotation = assemble_global(selections, cfg.w_fb)
-        t3 = time.perf_counter()
+        text_embs = providers.text_embedder.embed_texts([c.text for cs in candidates for c in cs])
+        record = aggregate_object(manifest, cfg, candidates, image_embs, text_embs)
 
         text_emb = providers.text_embedder.embed_text(record.global_annotation.full_text)
         cloud_emb = providers.cloud_embedder.embed_cloud(manifest.point_cloud)
         record.gating = gate(text_emb, cloud_emb, cfg.gate_threshold)
-        t4 = time.perf_counter()
-
-        record.stage_timings = {
-            "generation": t1 - t0,
-            "aggregation": t2 - t1,
-            "synthesis": t3 - t2,
-            "gating": t4 - t3,
-        }
     except EngineError as e:
         logger.warning("object %s failed: %s", manifest.object_id, e)
         return AnnotationRecord.failed(manifest.object_id, e, dict(manifest.metadata))
@@ -293,76 +274,40 @@ def run_pipeline(
     return sorted(iter_records(corpus, cfg, providers), key=lambda r: r.object_id)
 
 
-def _scored_to_doc(c: ScoredCandidate, logprobs: tuple[float, ...]) -> dict:
-    return {
-        "index": c.index,
-        "text": c.text,
-        "token_logprobs": list(logprobs),
-        "raw_confidence": c.raw_confidence,
-        "normalized_confidence": c.normalized_confidence,
-        "cluster_id": c.cluster_id,
-        "is_canonical": c.relevance_weight is not None,
-        "relevance_weight": c.relevance_weight,
-        "composite_score": c.composite_score,
-    }
-
-
 def record_to_doc(record: AnnotationRecord) -> dict:
     """Canonical JSON form of a record.
 
-    Deliberately excludes wall-clock timings so identical runs produce
-    byte-identical files; timings are aggregated in the run summary.
+    Holds no wall-clock time, so identical runs produce byte-identical
+    files; the run summary has the phase times.
     The bandit's per-round trace is not kept at all (see replay_bandit).
     """
-    if record.status != "ok":
-        return {
-            "schema_version": RECORD_SCHEMA_VERSION,
-            "object_id": record.object_id,
-            "status": record.status,
-            "error": record.error,
-            "metadata": record.metadata,
-            "views": None,
-            "global": None,
-            "gating": None,
-        }
-    views_doc = {}
-    for vr in record.views:
-        views_doc[vr.view.value] = {
-            "view": vr.view.value,
-            "image_ref": vr.image_ref,
-            "candidates": [
-                _scored_to_doc(c, vr.token_logprobs[i])
-                for i, c in enumerate(vr.candidates)
-            ],
-            "bandit": asdict(vr.bandit),
-            "selection": {"text": vr.selection.text, "score": vr.selection.score},
-        }
-    ga = record.global_annotation
-    return {
+    doc = {
         "schema_version": RECORD_SCHEMA_VERSION,
         "object_id": record.object_id,
         "status": record.status,
-        "error": None,
+        "error": record.error,
         "metadata": record.metadata,
-        "views": views_doc,
-        "global": {
-            "core_sentence": ga.core_sentence,
-            "supplementary": ga.supplementary,
-            "full_text": ga.full_text,
-            "score_global": ga.score_global,
-            "w_fb": record.w_fb,
-            "per_view": [
-                {"view": s.view.value, "text": s.text, "score": s.score}
-                for s in ga.per_view
-            ],
-        },
-        "gating": {
-            "similarity": record.gating.similarity,
-            "threshold": record.gating.threshold,
-            "passed": record.gating.passed,
-            "flagged_reason": record.gating.flagged_reason,
-        },
+        "views": None,
+        "global": None,
+        "gating": None,
     }
+    if record.status != "ok":
+        return doc
+    ga = record.global_annotation
+    doc["views"] = record.views
+    doc["global"] = {
+        "core_sentence": ga.core_sentence,
+        "supplementary": ga.supplementary,
+        "full_text": ga.full_text,
+        "score_global": ga.score_global,
+        "w_fb": record.w_fb,
+        "per_view": [
+            {"view": s.view.value, "text": s.text, "score": s.score}
+            for s in ga.per_view
+        ],
+    }
+    doc["gating"] = asdict(record.gating)
+    return doc
 
 
 def record_to_json(record: AnnotationRecord) -> str:
@@ -380,22 +325,9 @@ def replay_bandit(view_doc: dict, cfg: PipelineConfig, object_id: str) -> list[d
     ConfigError.
     """
     view = Viewpoint.from_string(view_doc["view"])
-    scored = [
-        ScoredCandidate(
-            view=view,
-            index=c["index"],
-            text=c["text"],
-            cluster_id=c["cluster_id"],
-            raw_confidence=c["raw_confidence"],
-            normalized_confidence=c["normalized_confidence"],
-            relevance_weight=c["relevance_weight"],
-            composite_score=c["composite_score"],
-        )
-        for c in view_doc["candidates"]
-    ]
     arms = view_doc["bandit"]["arm_candidate_indices"]
-    replayed, history = _run_bandit(scored, arms, cfg, object_id, view)
-    if asdict(replayed) != view_doc["bandit"]:
+    replayed, history = _run_bandit(view_doc["candidates"], arms, cfg, object_id, view)
+    if replayed != view_doc["bandit"]:
         raise ConfigError(
             f"{object_id} view {view.value}: record was not made with this configuration"
         )
@@ -530,12 +462,9 @@ class RunTally:
     objects: int = 0
     ok: int = 0
     flagged: list[dict] = field(default_factory=list)
-    stage_totals: dict[str, float] = field(default_factory=dict)
 
     def add(self, record: AnnotationRecord) -> None:
         self.objects += 1
-        for stage, seconds in record.stage_timings.items():
-            self.stage_totals[stage] = self.stage_totals.get(stage, 0.0) + seconds
         if record.status != "ok":
             return
         self.ok += 1
@@ -547,6 +476,23 @@ class RunTally:
             )
 
 
+class PhaseClock:
+    """Wall time per phase of a run, read on the thread that runs them.
+
+    `lap(phase)` charges the time since the previous lap to `phase`, so
+    the phases never overlap and sum to at most the run's wall time.
+    """
+
+    def __init__(self, *phases: str):
+        self.seconds = dict.fromkeys(phases, 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._mark
+        self._mark = now
+
+
 def write_record(record: AnnotationRecord, records_dir: Path) -> None:
     """Write records/<object_id>.json with write_atomic; a failed encode writes nothing."""
     write_atomic(records_dir / f"{record.object_id}.json", record_to_json(record))
@@ -556,22 +502,28 @@ def write_outputs(
     tally: RunTally,
     out_dir: str | Path,
     cfg: PipelineConfig,
+    clock: PhaseClock,
     cache: ResponseCache | None = None,
 ) -> dict:
-    """Write the flagged export and the run summary once every record is written."""
+    """Write the flagged export and the run summary once every record is written.
+
+    The flagged export is charged to `clock`'s write phase; the summary
+    cannot time its own write.
+    """
     out_dir = Path(out_dir)
     flagged = sorted(tally.flagged, key=lambda doc: doc["object_id"])
     write_atomic(
         out_dir / "flagged.jsonl",
         "".join(json.dumps(doc, sort_keys=True, ensure_ascii=False) + "\n" for doc in flagged),
     )
+    clock.lap("write")
 
     summary = {
         "objects": tally.objects,
         "ok": tally.ok,
         "failed": tally.objects - tally.ok,
         "flagged": len(flagged),
-        "stage_seconds": {k: round(v, 6) for k, v in sorted(tally.stage_totals.items())},
+        "phase_seconds": {k: round(v, 6) for k, v in clock.seconds.items()},
         "cache": cache.stats() if cache is not None else None,
         "config": cfg.to_dict(),
     }
@@ -591,14 +543,23 @@ def run_corpus(
     """The full batch: ingest, annotate, persist. Returns the summary.
 
     Each record is written as soon as its object finishes; the flagged
-    export and the summary follow once every object is done.
+    export and the summary follow once every object is done. The
+    summary's `phase_seconds` splits the run's wall time into `ingest`
+    (manifests, clouds, providers and the output directory), `annotate`
+    (waiting for the next record) and `write` (records and the flagged
+    export).
     """
+    clock = PhaseClock("ingest", "annotate", "write")
     manifests, failures = load_corpus_entries(corpus_dir, cfg)
     providers, _backing, cache = build_providers(cfg, mock=mock, corpus_dir=corpus_dir)
     records_dir = Path(out_dir) / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
+    clock.lap("ingest")
     tally = RunTally()
     for record in itertools.chain(failures, iter_records(manifests, cfg, providers)):
+        clock.lap("annotate")
         write_record(record, records_dir)
         tally.add(record)
-    return write_outputs(tally, out_dir, cfg, cache=cache)
+        clock.lap("write")
+    clock.lap("annotate")
+    return write_outputs(tally, out_dir, cfg, clock, cache=cache)

@@ -438,6 +438,12 @@ class HttpEmbedder(_HttpBase, TextEmbedder, ImageEmbedder, CloudEmbedder):
 
     expected_dim: int | None = None  # fixed by the first response
 
+    def __init__(self, config: HttpProviderConfig, session=None, sleep=time.sleep):
+        super().__init__(config, session, sleep)
+        # held to check and fix expected_dim, so that two fan-out threads'
+        # first replies cannot both fix it
+        self._dim_lock = threading.Lock()
+
     def _embed_many(self, values: list[dict]) -> list[EmbeddingVector]:
         bodies = [substitute_template(self.config.request_template, v) for v in values]
         return [self._vector(doc) for doc in self._post_many(bodies)]
@@ -449,12 +455,13 @@ class HttpEmbedder(_HttpBase, TextEmbedder, ImageEmbedder, CloudEmbedder):
                 f"{self.config.embedding_path!r} did not yield a vector of numbers"
             )
         vec = EmbeddingVector(raw)
-        if self.expected_dim is None:
-            self.expected_dim = vec.dim
-        elif vec.dim != self.expected_dim:
-            raise DimensionContractViolation(
-                f"embedding dim {vec.dim} != contracted {self.expected_dim}"
-            )
+        with self._dim_lock:
+            if self.expected_dim is None:
+                self.expected_dim = vec.dim
+            elif vec.dim != self.expected_dim:
+                raise DimensionContractViolation(
+                    f"embedding dim {vec.dim} != contracted {self.expected_dim}"
+                )
         return vec
 
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:

@@ -457,6 +457,53 @@ def test_batch_reports_the_first_wrong_dimension_in_input_order():
         emb.embed_texts(TEXTS)
 
 
+class RacingEmbedder(HttpEmbedder):
+    """Each read of a dimension that is still unset waits until a second
+    thread reads it too (or 0.5 s pass), so two first replies overlap."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.both_read = threading.Barrier(2, timeout=0.5)
+        self._dim = None
+
+    @property
+    def expected_dim(self):
+        dim = self._dim
+        if dim is None:
+            try:
+                self.both_read.wait()
+            except threading.BrokenBarrierError:
+                pass
+        return dim
+
+    @expected_dim.setter
+    def expected_dim(self, value):
+        self._dim = value
+
+
+def test_first_replies_of_two_dimensions_cannot_both_fix_the_contract():
+    session = KeyedSession({"a": emb_response([0.5] * 3), "b": emb_response([0.5] * 4)})
+    emb = RacingEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
+    outcomes = {}
+
+    def embed(text):
+        try:
+            outcomes[text] = emb.embed_text(text).dim
+        except DimensionContractViolation as e:
+            outcomes[text] = e
+
+    threads = [threading.Thread(target=embed, args=(text,)) for text in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=5)
+        assert not t.is_alive()
+    violations = [v for v in outcomes.values() if isinstance(v, DimensionContractViolation)]
+    dims = [v for v in outcomes.values() if isinstance(v, int)]
+    assert len(violations) == 1 and len(dims) == 1
+    assert emb.expected_dim == dims[0]
+
+
 class Loopback(ThreadingHTTPServer):
     """A loopback HTTP/1.1 server for the default session to talk to.
 
