@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
     _add_gaussian_args(p_sweep, required=False)
-    # the reference pair
+    # the reference parameters, those of acceptance criterion 01
     p_sweep.set_defaults(mu_pos=0.65, mu_neg=0.35, sigma_pos=0.1, sigma_neg=0.15)
     p_sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
 

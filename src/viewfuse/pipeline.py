@@ -19,7 +19,7 @@ import logging
 import random
 import time
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -135,7 +135,7 @@ def most_pulled(pulls: list[int]) -> int:
 
 def _run_bandit(
     candidates: list[dict],
-    arms: list[int],
+    arms: Sequence[int],
     cfg: PipelineConfig,
     object_id: str,
     view: Viewpoint,
@@ -190,7 +190,7 @@ def aggregate_object(
         start += len(view_candidates)
         norm_confs = [normalize_confidence(c.raw_confidence) for c in view_candidates]
         assignments = dbscan_cluster(view_text_embs, cfg.eps, cfg.min_pts)
-        reps = list(select_canonical(assignments, norm_confs).representatives)
+        reps = select_canonical(assignments, norm_confs).representatives
         weights = relevance_weights(image_emb, [view_text_embs[i] for i in reps])
 
         rep_rank = {idx: pos for pos, idx in enumerate(reps)}

@@ -440,8 +440,8 @@ class HttpEmbedder(_HttpBase, TextEmbedder, ImageEmbedder, CloudEmbedder):
 
     def __init__(self, config: HttpProviderConfig, session=None, sleep=time.sleep):
         super().__init__(config, session, sleep)
-        # held to check and fix expected_dim, so that two fan-out threads'
-        # first replies cannot both fix it
+        # held to check and fix expected_dim: engine workers share one
+        # embedder, and two first replies must not both fix it
         self._dim_lock = threading.Lock()
 
     def _embed_many(self, values: list[dict]) -> list[EmbeddingVector]:

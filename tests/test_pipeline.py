@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import viewfuse.pipeline as pipeline
+from viewfuse.confidence import compute_raw_confidence
 from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig
 from viewfuse.demo import build_demo_corpus
 from viewfuse.errors import ConfigError
 from viewfuse.gating import gate
-from viewfuse.confidence import compute_raw_confidence
 from viewfuse.model import (
     MAX_OBJECT_ID_BYTES,
     VIEW_ORDER,
