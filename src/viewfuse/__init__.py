@@ -23,8 +23,6 @@ from .bandit import (
 )
 from .clustering import (
     NOISE,
-    CanonicalSet,
-    ClusterAssignment,
     cosine_similarity,
     dbscan_cluster,
     select_canonical,
@@ -62,7 +60,7 @@ from .pipeline import (
 )
 from .providers import GenerationConfig, ProviderSet
 from .providers.mock import build_mock_providers
-from .scoring import RelevanceWeights, ScoredCandidate, composite_score, relevance_weights
+from .scoring import composite_score, relevance_weights
 from .simulate import (
     BernoulliEnv,
     selection_experiment,
@@ -84,8 +82,6 @@ __all__ = [
     "BanditState",
     "BernoulliEnv",
     "CandidateDescription",
-    "CanonicalSet",
-    "ClusterAssignment",
     "EmbeddingVector",
     "FrontBackCombined",
     "GatingDecision",
@@ -96,9 +92,7 @@ __all__ = [
     "PipelineConfig",
     "PointCloud",
     "ProviderSet",
-    "RelevanceWeights",
     "RewardSignal",
-    "ScoredCandidate",
     "ThompsonState",
     "TruncatedGaussianPair",
     "VIEW_ORDER",

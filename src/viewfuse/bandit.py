@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import InvalidArm, NoArms
-from .scoring import ScoredCandidate
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ def thompson_update(
     return state
 
 
-def compute_reward(candidate: ScoredCandidate) -> RewardSignal:
+def compute_reward(composite_score: float | None) -> RewardSignal:
     """Reward for pulling a candidate: its stored composite score."""
-    if candidate.composite_score is None:
+    if composite_score is None:
         raise ValueError("candidate has no composite score; score canonical candidates first")
-    return RewardSignal(candidate.composite_score)
+    return RewardSignal(composite_score)

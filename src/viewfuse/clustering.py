@@ -7,8 +7,6 @@ Noise points are kept as their own singletons rather than dropped, so
 a unique-but-correct description always survives deduplication.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -22,19 +20,6 @@ from .model import EmbeddingVector
 
 # Cluster id assigned to points that are not density-reachable from any core.
 NOISE = -1
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    candidate_index: int
-    cluster_id: int  # >= 0, or NOISE
-
-
-@dataclass(frozen=True)
-class CanonicalSet:
-    """One representative index per cluster, plus each noise singleton."""
-
-    representatives: tuple[int, ...]
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -64,8 +49,8 @@ def _cosine_distance_matrix(embeddings: list[EmbeddingVector]) -> np.ndarray:
 
 def dbscan_cluster(
     embeddings: list[EmbeddingVector], eps: float, min_pts: int
-) -> list[ClusterAssignment]:
-    """Classic DBSCAN over cosine distance.
+) -> list[int]:
+    """Classic DBSCAN over cosine distance: each embedding's cluster id, or NOISE.
 
     A point's neighborhood includes itself; only core points (at least
     min_pts neighbors) expand. Seeds are taken in ascending index order
@@ -112,28 +97,25 @@ def dbscan_cluster(
                         queue.append(q)
         cluster_id += 1
 
-    return [ClusterAssignment(i, int(labels[i])) for i in range(n)]
+    return labels
 
 
-def select_canonical(
-    assignments: list[ClusterAssignment], scores: list[float]
-) -> CanonicalSet:
-    """Argmax-by-score representative per cluster; noise points stand alone.
+def select_canonical(labels: list[int], scores: list[float]) -> tuple[int, ...]:
+    """The indices of the argmax-by-score representative of each cluster
+    and of each noise point, ascending.
 
     Ties break toward the lowest candidate index.
     """
-    if len(assignments) != len(scores):
-        raise LengthMismatch(
-            f"{len(assignments)} assignments vs {len(scores)} scores"
-        )
+    if len(labels) != len(scores):
+        raise LengthMismatch(f"{len(labels)} labels vs {len(scores)} scores")
     best: dict[int, int] = {}  # cluster_id -> candidate index
     reps: list[int] = []
-    for a in sorted(assignments, key=lambda a: a.candidate_index):
-        if a.cluster_id == NOISE:
-            reps.append(a.candidate_index)
+    for i, label in enumerate(labels):
+        if label == NOISE:
+            reps.append(i)
             continue
-        cur = best.get(a.cluster_id)
-        if cur is None or scores[a.candidate_index] > scores[cur]:
-            best[a.cluster_id] = a.candidate_index
+        cur = best.get(label)
+        if cur is None or scores[i] > scores[cur]:
+            best[label] = i
     reps.extend(best.values())
-    return CanonicalSet(representatives=tuple(sorted(reps)))
+    return tuple(sorted(reps))

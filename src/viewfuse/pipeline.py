@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -48,15 +48,13 @@ from .providers import GenerationConfig, ProviderSet
 from .providers.cache import ResponseCache, wrap_with_cache
 from .providers.http import HttpCandidateGenerator, HttpEmbedder, HttpProviderConfig, KeepAliveSession
 from .providers.mock import build_mock_providers
-from .scoring import ScoredCandidate, composite_score, relevance_weights
+from .scoring import composite_score, relevance_weights
 from .synthesis import GlobalAnnotation, ViewSelection, assemble_global
 
 logger = logging.getLogger(__name__)
 
 RECORD_SCHEMA_VERSION = 2
 MOCK_TRUTH_FILENAME = "mock_truth.json"
-# the fields of a ScoredCandidate that its record document holds under the same names
-_SCORED_KEYS = [f.name for f in fields(ScoredCandidate) if f.name != "view"]
 
 
 @dataclass
@@ -147,10 +145,7 @@ def _run_bandit(
     Returns the record's bandit document, which picks the most-pulled
     arm, with the `run_bandit` history it came from.
     """
-    rewards = [
-        compute_reward(ScoredCandidate(view, **{k: candidates[i][k] for k in _SCORED_KEYS}))
-        for i in arms
-    ]
+    rewards = [compute_reward(candidates[i]["composite_score"]) for i in arms]
     rng = random.Random(stable_seed("bandit", cfg.seed, object_id, view.value))
     history = run_bandit(cfg, rewards.__getitem__, len(arms), rng)
     pulls = pull_counts(history, len(arms))
@@ -189,14 +184,14 @@ def aggregate_object(
         view_text_embs = text_embs[start : start + len(view_candidates)]
         start += len(view_candidates)
         norm_confs = [normalize_confidence(c.raw_confidence) for c in view_candidates]
-        assignments = dbscan_cluster(view_text_embs, cfg.eps, cfg.min_pts)
-        reps = select_canonical(assignments, norm_confs).representatives
+        labels = dbscan_cluster(view_text_embs, cfg.eps, cfg.min_pts)
+        reps = select_canonical(labels, norm_confs)
         weights = relevance_weights(image_emb, [view_text_embs[i] for i in reps])
 
         rep_rank = {idx: pos for pos, idx in enumerate(reps)}
         docs = []
         for i, c in enumerate(view_candidates):
-            rel = weights.weights[rep_rank[i]] if i in rep_rank else None
+            rel = weights[rep_rank[i]] if i in rep_rank else None
             score = None if rel is None else composite_score(norm_confs[i], rel, cfg.blend_ratio)
             docs.append({
                 "index": i,
@@ -204,7 +199,7 @@ def aggregate_object(
                 "token_logprobs": list(c.token_logprobs),
                 "raw_confidence": c.raw_confidence,
                 "normalized_confidence": norm_confs[i],
-                "cluster_id": assignments[i].cluster_id,
+                "cluster_id": labels[i],
                 "is_canonical": rel is not None,
                 "relevance_weight": rel,
                 "composite_score": score,

@@ -7,50 +7,23 @@ is a convex blend of normalized confidence and that relevance weight.
 """
 
 import math
-from dataclasses import dataclass
 
 from .clustering import cosine_similarity
 from .errors import EmptyCandidates, OutOfRangeArgument
-from .model import EmbeddingVector, Viewpoint
-
-
-@dataclass(frozen=True)
-class RelevanceWeights:
-    """Softmax weights over one view's candidates; sums to 1."""
-
-    weights: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ScoredCandidate:
-    """A candidate after clustering and weighting.
-
-    relevance_weight and composite_score are populated for canonical
-    representatives; cluster members that were deduplicated away keep
-    only their cluster id and confidence.
-    """
-
-    view: Viewpoint
-    index: int
-    text: str
-    cluster_id: int
-    raw_confidence: float
-    normalized_confidence: float
-    relevance_weight: float | None = None
-    composite_score: float | None = None
+from .model import EmbeddingVector
 
 
 def relevance_weights(
     image_emb: EmbeddingVector, text_embs: list[EmbeddingVector]
-) -> RelevanceWeights:
-    """Softmax over cosine(image, text_i) across the given candidates."""
+) -> tuple[float, ...]:
+    """Softmax over cosine(image, text_i) across the given candidates; sums to 1."""
     if len(text_embs) == 0:
         raise EmptyCandidates("at least one text embedding required")
     sims = [cosine_similarity(image_emb, t) for t in text_embs]
     peak = max(sims)
     exps = [math.exp(s - peak) for s in sims]
     total = sum(exps)
-    return RelevanceWeights(weights=tuple(e / total for e in exps))
+    return tuple(e / total for e in exps)
 
 
 def composite_score(norm_conf: float, relevance: float, blend_ratio: float) -> float:

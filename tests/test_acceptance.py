@@ -225,14 +225,14 @@ def test_criterion_05_formula_unit_checks():
     for n in (1, 2, 5, 9):
         image = EmbeddingVector(rng.normal(size=6))
         texts = [EmbeddingVector(rng.normal(size=6)) for _ in range(n)]
-        weights = relevance_weights(image, texts).weights
+        weights = relevance_weights(image, texts)
         assert abs(sum(weights) - 1.0) <= 1e-9
 
     # Two candidates at cosine +1 and -1 from the image direction.
     image = EmbeddingVector([1.0, 0.0])
     aligned = EmbeddingVector([2.0, 0.0])
     opposed = EmbeddingVector([-3.0, 0.0])
-    w = relevance_weights(image, [aligned, opposed]).weights
+    w = relevance_weights(image, [aligned, opposed])
     assert w[0] == pytest.approx(0.8808, abs=1e-4)
     assert w[1] == pytest.approx(0.1192, abs=1e-4)
 
@@ -296,12 +296,12 @@ def test_criterion_06_clustering_matches_reachability_closure():
         for eps in (0.05, 0.15, 0.3, 0.8):
             for min_pts in (1, 2, 3):
                 embs = [EmbeddingVector(r) for r in rows]
-                got = [a.cluster_id for a in dbscan_cluster(embs, eps, min_pts)]
+                got = dbscan_cluster(embs, eps, min_pts)
                 want = _closure_clusters(rows, eps, min_pts)
                 assert got == want, (rows.tolist(), eps, min_pts, got, want)
 
                 scaled = [EmbeddingVector(3.0 * r) for r in rows]
-                rescan = [a.cluster_id for a in dbscan_cluster(scaled, eps, min_pts)]
+                rescan = dbscan_cluster(scaled, eps, min_pts)
                 assert rescan == got, (rows.tolist(), eps, min_pts)
 
 

@@ -17,8 +17,7 @@ from viewfuse.bandit import (
     update_mean,
 )
 from viewfuse.errors import InvalidArm, NoArms
-from viewfuse.model import Viewpoint
-from viewfuse.scoring import ScoredCandidate, composite_score
+from viewfuse.scoring import composite_score
 
 
 def test_reward_signal_clamps_to_unit_interval():
@@ -202,17 +201,14 @@ def test_thompson_priors_must_be_positive():
 
 
 def _scored(conf, rel, blend_ratio):
-    return ScoredCandidate(
-        view=Viewpoint.FRONT, index=0, text="x", cluster_id=0,
-        raw_confidence=1.0, normalized_confidence=conf, relevance_weight=rel,
-        composite_score=None if rel is None else composite_score(conf, rel, blend_ratio),
-    )
+    """The composite score a candidate's record document holds; None off the canonical set."""
+    return None if rel is None else composite_score(conf, rel, blend_ratio)
 
 
 def test_compute_reward_is_the_composite_blend():
-    candidate = _scored(0.6, 0.9, blend_ratio=0.2)
-    reward = compute_reward(candidate)
-    assert reward.value == candidate.composite_score
+    score = _scored(0.6, 0.9, blend_ratio=0.2)
+    reward = compute_reward(score)
+    assert reward.value == score
     assert reward.value == pytest.approx(0.66, abs=1e-12)
 
 

@@ -69,10 +69,6 @@ def dbscan_reference(embeddings, eps, min_pts):
     return out
 
 
-def labels_of(assignments):
-    return [a.cluster_id for a in assignments]
-
-
 def test_cosine_identical_and_orthogonal(mk):
     assert cosine_similarity(mk(1, 0), mk(2, 0)) == pytest.approx(1.0)
     assert cosine_similarity(mk(1, 0), mk(0, 5)) == pytest.approx(0.0)
@@ -100,7 +96,7 @@ def test_dbscan_validation(mk):
 
 def test_dbscan_single_point_is_noise(mk):
     # alone, a point cannot reach min_pts = 2
-    assert labels_of(dbscan_cluster([mk(1, 0)], 0.1, 2)) == [NOISE]
+    assert dbscan_cluster([mk(1, 0)], 0.1, 2) == [NOISE]
 
 
 def test_dbscan_two_groups_and_a_stray(mk):
@@ -111,13 +107,13 @@ def test_dbscan_two_groups_and_a_stray(mk):
         mk(0.01, 0.999),   # ~same direction as 2
         mk(-1.0, -1.0),    # far from both groups
     ]
-    labels = labels_of(dbscan_cluster(embs, 0.15, 2))
+    labels = dbscan_cluster(embs, 0.15, 2)
     assert labels == [0, 0, 1, 1, NOISE]
 
 
 def test_dbscan_all_identical_directions(mk):
     embs = [mk(2, 2), mk(1, 1), mk(4, 4)]
-    assert labels_of(dbscan_cluster(embs, 0.05, 2)) == [0, 0, 0]
+    assert dbscan_cluster(embs, 0.05, 2) == [0, 0, 0]
 
 
 def test_dbscan_chain_merges_into_one_cluster(mk):
@@ -126,7 +122,7 @@ def test_dbscan_chain_merges_into_one_cluster(mk):
     angles = [0.0, 0.25, 0.5, 0.75, 1.0]
     embs = [mk(np.cos(a), np.sin(a)) for a in angles]
     eps = 1.0 - np.cos(0.3)
-    labels = labels_of(dbscan_cluster(embs, eps, 2))
+    labels = dbscan_cluster(embs, eps, 2)
     assert labels == [0, 0, 0, 0, 0]
     assert 1.0 - np.cos(1.0) > eps  # endpoints really are not direct neighbors
 
@@ -142,7 +138,7 @@ def test_dbscan_matches_reference_on_handmade_fixtures(mk):
     for embs in fixtures:
         for eps in (0.05, 0.15, 0.5):
             for min_pts in (1, 2, 3):
-                got = labels_of(dbscan_cluster(embs, eps, min_pts))
+                got = dbscan_cluster(embs, eps, min_pts)
                 assert got == dbscan_reference(embs, eps, min_pts), (eps, min_pts)
 
 
@@ -161,7 +157,7 @@ def test_dbscan_matches_reference_on_random_fixtures():
         embs = [make_emb(*row) for row in base]
         eps = float(rng.choice([0.05, 0.15, 0.3, 0.8]))
         min_pts = int(rng.integers(1, 4))
-        got = labels_of(dbscan_cluster(embs, eps, min_pts))
+        got = dbscan_cluster(embs, eps, min_pts)
         assert got == dbscan_reference(embs, eps, min_pts), (trial, eps, min_pts)
 
 
@@ -170,9 +166,7 @@ def test_dbscan_scale_invariance():
     rows = rng.normal(size=(8, 3))
     embs = [make_emb(*r) for r in rows]
     scaled = [make_emb(*(3.0 * r)) for r in rows]
-    assert labels_of(dbscan_cluster(embs, 0.15, 2)) == labels_of(
-        dbscan_cluster(scaled, 0.15, 2)
-    )
+    assert dbscan_cluster(embs, 0.15, 2) == dbscan_cluster(scaled, 0.15, 2)
 
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -189,7 +183,7 @@ vectors = st.tuples(coords, coords, coords).filter(
 )
 def test_dbscan_matches_reference_property(rows, eps, min_pts):
     embs = [make_emb(*r) for r in rows]
-    assert labels_of(dbscan_cluster(embs, eps, min_pts)) == dbscan_reference(
+    assert dbscan_cluster(embs, eps, min_pts) == dbscan_reference(
         embs, eps, min_pts
     )
 
@@ -197,33 +191,30 @@ def test_dbscan_matches_reference_property(rows, eps, min_pts):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(vectors, min_size=1, max_size=8))
 def test_dbscan_labels_form_contiguous_ids(rows):
-    labels = labels_of(dbscan_cluster([make_emb(*r) for r in rows], 0.15, 2))
+    labels = dbscan_cluster([make_emb(*r) for r in rows], 0.15, 2)
     ids = sorted({c for c in labels if c != NOISE})
     assert ids == list(range(len(ids)))
 
 
 def test_select_canonical_highest_score_per_cluster(mk):
-    assignments = dbscan_cluster(
+    labels = dbscan_cluster(
         [mk(1, 0), mk(0.99, 0.02), mk(0, 1), mk(0.02, 0.99)], 0.15, 2
     )
-    reps = select_canonical(assignments, [0.3, 0.9, 0.8, 0.1])
-    assert reps.representatives == (1, 2)
+    assert select_canonical(labels, [0.3, 0.9, 0.8, 0.1]) == (1, 2)
 
 
 def test_select_canonical_tie_takes_lowest_index(mk):
-    assignments = dbscan_cluster([mk(1, 0), mk(0.99, 0.02)], 0.15, 2)
-    reps = select_canonical(assignments, [0.5, 0.5])
-    assert reps.representatives == (0,)
+    labels = dbscan_cluster([mk(1, 0), mk(0.99, 0.02)], 0.15, 2)
+    assert select_canonical(labels, [0.5, 0.5]) == (0,)
 
 
 def test_select_canonical_noise_survives_as_singleton(mk):
-    assignments = dbscan_cluster([mk(1, 0), mk(0, 1), mk(-1, -1)], 0.05, 2)
-    assert all(a.cluster_id == NOISE for a in assignments)
-    reps = select_canonical(assignments, [0.2, 0.9, 0.4])
-    assert reps.representatives == (0, 1, 2)
+    labels = dbscan_cluster([mk(1, 0), mk(0, 1), mk(-1, -1)], 0.05, 2)
+    assert labels == [NOISE, NOISE, NOISE]
+    assert select_canonical(labels, [0.2, 0.9, 0.4]) == (0, 1, 2)
 
 
 def test_select_canonical_length_mismatch(mk):
-    assignments = dbscan_cluster([mk(1, 0), mk(0, 1)], 0.05, 2)
+    labels = dbscan_cluster([mk(1, 0), mk(0, 1)], 0.05, 2)
     with pytest.raises(LengthMismatch):
-        select_canonical(assignments, [0.5])
+        select_canonical(labels, [0.5])

@@ -12,27 +12,27 @@ from viewfuse.scoring import composite_score, relevance_weights
 
 def test_two_candidate_opposed_directions(mk):
     # cosines 1 and -1: softmax gives e/(e + 1/e)
-    w = relevance_weights(mk(1, 0), [mk(2, 0), mk(-2, 0)]).weights
+    w = relevance_weights(mk(1, 0), [mk(2, 0), mk(-2, 0)])
     assert w[0] == pytest.approx(0.8808, abs=1e-4)
     assert w[1] == pytest.approx(0.1192, abs=1e-4)
 
 
 def test_weights_sum_to_one(mk):
-    w = relevance_weights(mk(1, 1), [mk(1, 0), mk(0, 1), mk(-1, 2), mk(3, 1)]).weights
+    w = relevance_weights(mk(1, 1), [mk(1, 0), mk(0, 1), mk(-1, 2), mk(3, 1)])
     assert sum(w) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_equal_cosines_give_uniform_weights(mk):
-    w = relevance_weights(mk(1, 0), [mk(5, 0), mk(2, 0), mk(1, 0)]).weights
+    w = relevance_weights(mk(1, 0), [mk(5, 0), mk(2, 0), mk(1, 0)])
     assert all(v == pytest.approx(1.0 / 3.0, abs=1e-12) for v in w)
 
 
 def test_single_candidate_gets_weight_one(mk):
-    assert relevance_weights(mk(1, 0), [mk(0, 1)]).weights == (1.0,)
+    assert relevance_weights(mk(1, 0), [mk(0, 1)]) == (1.0,)
 
 
 def test_better_aligned_candidate_outweighs(mk):
-    w = relevance_weights(mk(1, 0), [mk(1, 0.1), mk(0.1, 1)]).weights
+    w = relevance_weights(mk(1, 0), [mk(1, 0.1), mk(0.1, 1)])
     assert w[0] > w[1]
 
 
@@ -44,7 +44,7 @@ def test_no_candidates_rejected(mk):
 def test_softmax_stable_for_extreme_vectors():
     # identical directions at wildly different magnitudes: cosines all 1
     big = make_emb(1e150, 0.0)
-    w = relevance_weights(big, [big, make_emb(1e-150, 0.0)]).weights
+    w = relevance_weights(big, [big, make_emb(1e-150, 0.0)])
     assert w[0] == pytest.approx(0.5, abs=1e-9)
     assert not any(math.isnan(v) for v in w)
 
@@ -60,7 +60,7 @@ def test_softmax_stable_for_extreme_vectors():
     )
 )
 def test_weights_always_normalized_and_positive(rows):
-    w = relevance_weights(make_emb(1, 0.5), [make_emb(*r) for r in rows]).weights
+    w = relevance_weights(make_emb(1, 0.5), [make_emb(*r) for r in rows])
     assert sum(w) == pytest.approx(1.0, abs=1e-9)
     assert all(v > 0.0 for v in w)
 
