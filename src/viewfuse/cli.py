@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 runtime failure, 2 bad usage or config.
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -160,6 +161,9 @@ def _cmd_threshold_solve(args) -> int:
 
 
 def _cmd_threshold_sweep(args) -> int:
+    for flag, value in (("--from", args.start), ("--to", args.stop), ("--step", args.step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.step <= 0:
         raise ConfigError("--step must be positive")
     if args.stop < args.start:
@@ -195,7 +199,10 @@ def _cmd_bandit_simulate(args) -> int:
         doc = parse_json(read_bytes(Path(args.env), what), what)
     except ParseError as e:
         raise ConfigError(str(e)) from None
-    env = load_environment(doc)
+    try:
+        env = load_environment(doc)
+    except EngineError as e:
+        raise ConfigError(f"{what}: {e}") from None
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:

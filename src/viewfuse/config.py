@@ -25,6 +25,28 @@ _FIELD_TYPES = {
 }
 
 
+def typed_fields(cls, doc: dict, what: str) -> dict:
+    """The fields of dataclass `cls` that `doc` gives, each checked
+    against its annotation, with numbers for float fields as floats.
+
+    A key that is not a field raises ConfigError naming `what`, and so
+    does a value of the wrong type, naming its field.
+    """
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    typed = {}
+    for f in fields(cls):
+        if f.name not in doc:
+            continue
+        value = doc[f.name]
+        accepts, kind = _FIELD_TYPES[f.type]
+        if not accepts(value):
+            raise ConfigError(f"{f.name} must be {kind}")
+        typed[f.name] = float(value) if f.type is float else value
+    return typed
+
+
 @dataclass
 class PipelineConfig:
     blend_ratio: float = 0.2
@@ -83,20 +105,7 @@ class PipelineConfig:
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        typed = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                continue
-            value = doc[f.name]
-            accepts, kind = _FIELD_TYPES[f.type]
-            if not accepts(value):
-                raise ConfigError(f"{f.name} must be {kind}")
-            typed[f.name] = float(value) if f.type is float else value
-        return cls(**typed)
+        return cls(**typed_fields(cls, doc, "config"))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

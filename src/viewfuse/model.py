@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
@@ -96,6 +97,8 @@ def parse_json(data: bytes, what: str):
     except json.JSONDecodeError as e:
         offset = len(text[: e.pos].encode("utf-8"))
         raise ParseError(f"{what} is not valid JSON: {e.msg}", offset=offset) from None
+    except ValueError as e:  # an integer literal longer than int() takes
+        raise ParseError(f"{what} holds a number that cannot be read: {e}") from None
 
 
 class Viewpoint(enum.Enum):
@@ -362,8 +365,11 @@ def _raise_bad_ply_body(
 
 
 def is_json_number(value) -> bool:
-    """Whether a parsed JSON value is a number; true and false are not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a parsed JSON value is a number a float can hold; true and
+    false are not, nor is an integer beyond the largest finite float."""
+    if isinstance(value, float):
+        return True
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def is_json_number_list(value) -> bool:
@@ -371,9 +377,13 @@ def is_json_number_list(value) -> bool:
 
     Python's JSON parser makes numbers exactly int or float (true and
     false are bool), so the element types are compared as a set,
-    without a Python call per element.
+    without a Python call per element; only a list that holds an int
+    checks each element's range.
     """
-    return isinstance(value, list) and set(map(type, value)) <= {int, float}
+    if not isinstance(value, list):
+        return False
+    types = set(map(type, value))
+    return types <= {int, float} and (int not in types or all(map(is_json_number, value)))
 
 
 def is_json_vector(value) -> bool:

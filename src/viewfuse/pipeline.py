@@ -38,7 +38,7 @@ from .bandit import (
 )
 from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
-from .config import PROVIDER_ROLES, PipelineConfig
+from .config import PROVIDER_ROLES, PipelineConfig, typed_fields
 from .errors import ConfigError, DuplicateObjectId, EngineError, ParseError
 from .gating import GatingDecision, flagged_record, gate
 from .model import FAILURE_KEY_PREFIX, MAX_OBJECT_ID_BYTES, VIEW_ORDER, ObjectManifest, Viewpoint
@@ -428,10 +428,10 @@ def build_providers(
         # connection per endpoint host, not one per role
         session = KeepAliveSession()
         backing = ProviderSet(
-            generator=HttpCandidateGenerator(_http_config(cfg.providers["generate"]), session=session),
-            text_embedder=HttpEmbedder(_http_config(cfg.providers["embed_text"]), session=session),
-            image_embedder=HttpEmbedder(_http_config(cfg.providers["embed_image"]), session=session),
-            cloud_embedder=HttpEmbedder(_http_config(cfg.providers["embed_cloud"]), session=session),
+            generator=HttpCandidateGenerator(_http_config(cfg, "generate"), session=session),
+            text_embedder=HttpEmbedder(_http_config(cfg, "embed_text"), session=session),
+            image_embedder=HttpEmbedder(_http_config(cfg, "embed_image"), session=session),
+            cloud_embedder=HttpEmbedder(_http_config(cfg, "embed_cloud"), session=session),
         )
     cache = None
     active = backing
@@ -441,13 +441,15 @@ def build_providers(
     return active, backing, cache
 
 
-def _http_config(doc: dict) -> HttpProviderConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("provider config must be an object")
+def _http_config(cfg: PipelineConfig, role: str) -> HttpProviderConfig:
+    """The HttpProviderConfig of `role`, each field checked against its annotation."""
+    doc = cfg.providers[role]
     try:
-        return HttpProviderConfig(**doc)
-    except TypeError as e:
-        raise ConfigError(f"bad provider config: {e}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError("provider config must be an object")
+        return HttpProviderConfig(**typed_fields(HttpProviderConfig, doc, "provider config"))
+    except (ConfigError, TypeError) as e:  # TypeError: a required field is missing
+        raise ConfigError(f"provider {role!r}: {e}") from None
 
 
 @dataclass

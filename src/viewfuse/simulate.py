@@ -18,6 +18,7 @@ import numpy as np
 from .bandit import RewardSignal
 from .config import STRATEGIES, PipelineConfig
 from .errors import EmptyInput, OutOfRangeArgument, UnknownStrategy
+from .model import is_json_number_list
 from .pipeline import most_pulled, pull_counts, run_bandit, stable_seed
 from .scoring import composite_score
 
@@ -52,10 +53,9 @@ class BernoulliEnv:
 
 
 def _parse_means(raw) -> tuple[float, ...]:
-    try:
-        return tuple(float(m) for m in raw)
-    except (TypeError, ValueError) as err:
-        raise OutOfRangeArgument(f"arm means must be numbers, got {raw!r}") from err
+    if not is_json_number_list(raw):
+        raise OutOfRangeArgument(f"arm means must be a list of numbers, got {raw!r}")
+    return tuple(map(float, raw))
 
 
 def load_environment(doc) -> BernoulliEnv:
@@ -63,6 +63,9 @@ def load_environment(doc) -> BernoulliEnv:
     if isinstance(doc, list):
         return BernoulliEnv(means=_parse_means(doc))
     if isinstance(doc, dict):
+        unknown = set(doc) - {"kind", "means"}
+        if unknown:
+            raise OutOfRangeArgument(f"unknown environment keys: {sorted(unknown)}")
         kind = doc.get("kind", "bernoulli")
         if kind != "bernoulli":
             raise UnknownStrategy(f"unsupported environment kind {kind!r}")

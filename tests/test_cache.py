@@ -255,6 +255,14 @@ DAMAGES = {
             {**c, "token_logprobs": [str(lp) for lp in c["token_logprobs"]]} for c in doc["candidates"]
         ]},
     ),
+    # JSON integers that no float can hold
+    "huge-int-component": ("embed_cloud", lambda doc: {"values": doc["values"][:-1] + [10**400]}),
+    "huge-int-logprobs": (
+        "generate_candidates",
+        lambda doc: {"candidates": [
+            {**c, "token_logprobs": c["token_logprobs"][:-1] + [-(10**400)]} for c in doc["candidates"]
+        ]},
+    ),
 }
 
 

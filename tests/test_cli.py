@@ -3,6 +3,7 @@ import json
 import pytest
 
 from viewfuse.cli import main
+from viewfuse.config import PROVIDER_ROLES
 
 
 def run(capsys, *argv):
@@ -71,6 +72,25 @@ def test_threshold_sweep_stdout_mode(capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("nan", "0.7", "0.01"),
+        ("0.4", "inf", "0.01"),
+        ("0.4", "0.7", "nan"),
+        ("0.4", "0.7", "inf"),
+    ],
+    ids=["from-nan", "to-inf", "step-nan", "step-inf"],
+)
+def test_threshold_sweep_non_finite_bound_exit_2(capsys, bounds):
+    start, stop, step = bounds
+    code, out, err = run(
+        capsys, "threshold", "sweep", "--from", start, "--to", stop, "--step", step,
+    )
+    assert (code, out) == (2, "")
+    assert "must be finite" in err
+
+
 def test_bandit_simulate_csv_and_summary(capsys, tmp_path):
     env_file = tmp_path / "env.json"
     env_file.write_text(json.dumps({"kind": "bernoulli", "means": [0.9, 0.4, 0.2]}))
@@ -109,14 +129,32 @@ def test_bandit_simulate_rounds_below_one_exit_2(capsys, tmp_path):
     assert "--rounds" in err
 
 
-def test_bandit_simulate_bad_env_file_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("{broken", "not valid JSON"),
+        ('{"kind": "gaussian", "means": [0.5]}', "'gaussian'"),
+        ('{"means": [0.5, 1.5]}', "1.5 outside [0, 1]"),
+        ('{"means": []}', "at least one arm"),
+        ("[]", "at least one arm"),
+        ('{"means": ["0.5"]}', "list of numbers"),
+        ('{"means": [true]}', "list of numbers"),
+        ('{"means": [1' + "0" * 400 + "]}", "list of numbers"),
+        ('{"means": [0.5], "extra": 1}', "unknown environment keys: ['extra']"),
+    ],
+    ids=[
+        "broken-json", "unknown-kind", "mean-above-one", "no-arms", "empty-list",
+        "string-mean", "bool-mean", "mean-beyond-float", "unknown-key",
+    ],
+)
+def test_bandit_simulate_bad_env_file_exit_2(capsys, tmp_path, text, named):
     env_file = tmp_path / "env.json"
-    env_file.write_text("{broken")
-    code, _, err = run(
+    env_file.write_text(text)
+    code, out, err = run(
         capsys, "bandit", "simulate", "--env", str(env_file), "--rounds", "10",
     )
-    assert code == 2
-    assert err.strip()
+    assert (code, out) == (2, "")
+    assert named in err
 
 
 def test_bandit_simulate_non_utf8_env_file_exit_2(capsys, tmp_path):
@@ -203,16 +241,35 @@ def test_annotate_seed_override_changes_outputs(capsys, tmp_path):
     assert record_bytes(1, "c") == record_bytes(1, "a")
 
 
-def test_annotate_bad_config_exit_2(capsys, tmp_path):
+HTTP_PROVIDER = {"endpoint": "http://127.0.0.1:9/v1", "request_template": {"input": "{text}"}}
+
+
+# (config document, run with mocks, text the error names)
+BAD_CONFIGS = {
+    "unknown-key": ({"blend_weight": 3.0}, True, "blend_weight"),
+    "eps-beyond-float": ({"eps": 10**400}, True, "eps must be a number"),
+    # caught before any request is sent
+    "provider-timeout-string": (
+        {"providers": {role: {**HTTP_PROVIDER, "timeout": "30"} for role in PROVIDER_ROLES}},
+        False,
+        "provider 'generate': timeout must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CONFIGS)
+def test_annotate_bad_config_exit_2(capsys, tmp_path, case):
+    doc, mock, named = BAD_CONFIGS[case]
     corpus = tmp_path / "corpus"
     run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "1")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"blend_weight": 3.0}))
-    code, _, err = run(
-        capsys, "annotate", "--corpus", str(corpus), "--config", str(config), "--mock",
+    config.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "annotate", "--corpus", str(corpus), "--config", str(config),
+        "--out", str(tmp_path / "out"), *(["--mock"] if mock else []),
     )
-    assert code == 2
-    assert "blend_weight" in err
+    assert (code, out) == (2, "")
+    assert named in err
 
 
 def test_annotate_non_utf8_config_exit_2(capsys, tmp_path):

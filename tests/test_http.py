@@ -199,8 +199,8 @@ def test_generator_rejects_a_text_that_cannot_be_encoded_as_utf8(text):
 # JSON strings and booleans are not numbers, even where float() would take them
 @pytest.mark.parametrize(
     "logprobs",
-    [["high", "low"], ["-0.5"], [False], [True]],
-    ids=["words", "numeric-string", "false", "true"],
+    [["high", "low"], ["-0.5"], [False], [True], [-0.5, -(10**400)]],
+    ids=["words", "numeric-string", "false", "true", "beyond-float"],
 )
 def test_generator_non_numeric_logprobs_rejected(logprobs):
     doc = {"choices": [{"text": "a", "logprobs": logprobs}]}
@@ -323,7 +323,7 @@ def test_embedder_dimension_contract():
         emb.embed_text("second must match")
 
 
-@pytest.mark.parametrize("entry", [None, "abc", [0.2], "0.5", True])
+@pytest.mark.parametrize("entry", [None, "abc", [0.2], "0.5", True, pytest.param(10**400, id="beyond-float")])
 def test_embedder_rejects_entries_that_are_not_numbers(entry):
     session = FakeSession(emb_response([0.1, entry, 0.3]))
     emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -293,12 +294,27 @@ def test_json_cloud_parse(tmp_path):
         [[1, 2, 3, 4]],
         [[1, 2, 3], 4],
         [{"x": 1, "y": 2, "z": 3}],
+        [[1, 2, 3], [1, 2, 10**400]],
+        [[-(10**400), 2, 3]],
     ],
 )
 def test_json_cloud_rows_must_be_three_numbers(tmp_path, rows):
     p = tmp_path / "cloud.json"
     p.write_text(json.dumps(rows))
     with pytest.raises(ParseError, match="is not three numbers"):
+        load_point_cloud(p)
+
+
+def test_json_cloud_takes_integers_up_to_the_largest_float(tmp_path):
+    p = tmp_path / "cloud.json"
+    p.write_text(json.dumps([[int(sys.float_info.max), -int(sys.float_info.max), 0]]))
+    assert load_point_cloud(p).points[0, :2].tolist() == [sys.float_info.max, -sys.float_info.max]
+
+
+def test_json_cloud_with_an_integer_too_long_to_read_is_a_parse_error(tmp_path):
+    p = tmp_path / "cloud.json"
+    p.write_text("[[1" + "0" * 5000 + ", 2, 3]]")
+    with pytest.raises(ParseError, match="^point cloud holds a number that cannot be read"):
         load_point_cloud(p)
 
 

@@ -389,6 +389,27 @@ def test_malformed_json_cloud_becomes_failure_entry(tmp_path):
     assert failed["error"] == "ParseError: JSON point cloud row 1 is not three numbers"
 
 
+@pytest.mark.parametrize(
+    "cloud, error",
+    [
+        ("[[1, 2, 3], [1, 2, 1" + "0" * 400 + "]]", "ParseError: JSON point cloud row 1 is not three numbers"),
+        ("[[1" + "0" * 5000 + ", 2, 3]]", "ParseError: point cloud holds a number that cannot be read"),
+    ],
+    ids=["beyond-float", "too-long-to-read"],
+)
+def test_json_cloud_integer_no_float_holds_becomes_failure_entry(tmp_path, cloud, error):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=2, seed=0)
+    (corpus_dir / "clouds" / "obj_000.json").write_text(cloud)
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert (summary["ok"], summary["failed"]) == (1, 1)
+    failed = json.loads((out_dir / "records" / "@obj_000.json").read_text())
+    assert failed["error"].startswith(error)
+
+
 def _delete_ply_cloud(corpus_dir):
     (corpus_dir / "clouds" / "obj_001.ply").unlink()
 
@@ -654,6 +675,31 @@ def test_build_providers_http_mode_rejects_bad_keys():
         for role in ("generate", "embed_text", "embed_image", "embed_cloud")
     }
     with pytest.raises(ConfigError):
+        build_providers(PipelineConfig(providers=roles), mock=False)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", "30"),
+        ("timeout", True),
+        ("timeout", 10**400),
+        ("model", 5),
+        ("logprobs_path", 3),
+        ("extra_headers", []),
+        ("request_template", "{text}"),
+    ],
+    ids=[
+        "timeout-string", "timeout-bool", "timeout-beyond-float", "model-number",
+        "logprobs_path-number", "extra_headers-list", "request_template-string",
+    ],
+)
+def test_build_providers_http_mode_checks_each_field_type(field, value):
+    roles = {
+        role: {"endpoint": "https://x", "request_template": {}, field: value}
+        for role in PROVIDER_ROLES
+    }
+    with pytest.raises(ConfigError, match=f"^provider 'generate': {field} must be "):
         build_providers(PipelineConfig(providers=roles), mock=False)
 
 
