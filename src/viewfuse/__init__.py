@@ -32,7 +32,6 @@ from .config import PipelineConfig
 from .cost import estimate_cost
 from .demo import build_demo_corpus
 from .gating import (
-    GatingDecision,
     TruncatedGaussianPair,
     error_rates,
     gate,
@@ -67,8 +66,6 @@ from .simulate import (
     simulate_strategies,
 )
 from .synthesis import (
-    FrontBackCombined,
-    GlobalAnnotation,
     ViewSelection,
     assemble_global,
     extract_core_sentence,
@@ -83,10 +80,7 @@ __all__ = [
     "BernoulliEnv",
     "CandidateDescription",
     "EmbeddingVector",
-    "FrontBackCombined",
-    "GatingDecision",
     "GenerationConfig",
-    "GlobalAnnotation",
     "NOISE",
     "ObjectManifest",
     "PipelineConfig",

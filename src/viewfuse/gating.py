@@ -27,14 +27,6 @@ FLAG_REASON = "below_gate_threshold"
 
 
 @dataclass(frozen=True)
-class GatingDecision:
-    similarity: float
-    threshold: float
-    passed: bool
-    flagged_reason: str | None = None
-
-
-@dataclass(frozen=True)
 class TruncatedGaussianPair:
     """Similarity-score model for matched (pos) and mismatched (neg) pairs.
 
@@ -61,18 +53,18 @@ class TruncatedGaussianPair:
 
 def gate(
     text_emb: EmbeddingVector, cloud_emb: EmbeddingVector, threshold: float
-) -> GatingDecision:
-    """Compare text and cloud embeddings; similarity >= threshold passes."""
+) -> dict:
+    """The record's gating document: similarity >= threshold passes."""
     if not 0.0 < threshold < 1.0:
         raise OutOfRangeArgument(f"threshold must be in (0, 1), got {threshold!r}")
     sim = cosine_similarity(text_emb, cloud_emb)
     passed = sim >= threshold
-    return GatingDecision(
-        similarity=sim,
-        threshold=threshold,
-        passed=passed,
-        flagged_reason=None if passed else FLAG_REASON,
-    )
+    return {
+        "similarity": sim,
+        "threshold": threshold,
+        "passed": passed,
+        "flagged_reason": None if passed else FLAG_REASON,
+    }
 
 
 def _phi(z: float) -> float:
@@ -181,11 +173,11 @@ def kl_divergence(params: TruncatedGaussianPair, points: int = 4001) -> float:
     return float(np.trapezoid(p * np.log(p / q), xs))
 
 
-def flagged_record(object_id: str, decision: GatingDecision, annotation: str) -> dict:
+def flagged_record(object_id: str, gating: dict, annotation: str) -> dict:
     """The JSON-lines payload exported for one flagged object."""
     return {
         "object_id": object_id,
-        "similarity": decision.similarity,
-        "threshold": decision.threshold,
+        "similarity": gating["similarity"],
+        "threshold": gating["threshold"],
         "annotation": annotation,
     }

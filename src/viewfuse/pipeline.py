@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -40,7 +40,7 @@ from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
 from .config import PROVIDER_ROLES, PipelineConfig, typed_fields
 from .errors import ConfigError, DuplicateObjectId, EngineError, ParseError
-from .gating import GatingDecision, flagged_record, gate
+from .gating import flagged_record, gate
 from .model import FAILURE_KEY_PREFIX, MAX_OBJECT_ID_BYTES, VIEW_ORDER, ObjectManifest, Viewpoint
 from .model import CandidateDescription, EmbeddingVector
 from .model import canonical_json, ingest_manifest, parse_json, read_bytes, stable_seed, write_atomic
@@ -49,7 +49,7 @@ from .providers.cache import ResponseCache, wrap_with_cache
 from .providers.http import HttpCandidateGenerator, HttpEmbedder, HttpProviderConfig, KeepAliveSession
 from .providers.mock import build_mock_providers
 from .scoring import composite_score, relevance_weights
-from .synthesis import GlobalAnnotation, ViewSelection, assemble_global
+from .synthesis import ViewSelection, assemble_global
 
 logger = logging.getLogger(__name__)
 
@@ -63,12 +63,11 @@ class AnnotationRecord:
     status: str  # "ok" | "failed"
     error: str | None = None
     metadata: dict = field(default_factory=dict)
-    # view name -> that view's record document, as record_to_doc writes it
-    views: dict[str, dict] = field(default_factory=dict)
-    global_annotation: GlobalAnnotation | None = None
-    gating: GatingDecision | None = None
-    # kept on the record so synthesis can be replayed from it alone
-    w_fb: float | None = None
+    # the record's views, global and gating documents as record_to_doc
+    # writes them, None on a failed record; views are keyed by view name
+    views: dict[str, dict] | None = None
+    global_annotation: dict | None = None
+    gating: dict | None = None
 
     @classmethod
     def failed(cls, object_id: str, error: EngineError, metadata: dict | None = None):
@@ -176,7 +175,7 @@ def aggregate_object(
     the final text's embedding, so the record comes back ungated.
     """
     record = AnnotationRecord(
-        manifest.object_id, "ok", metadata=dict(manifest.metadata), w_fb=cfg.w_fb
+        manifest.object_id, "ok", metadata=dict(manifest.metadata), views={}
     )
     selections: list[ViewSelection] = []
     start = 0
@@ -236,7 +235,7 @@ def annotate_object(
         text_embs = providers.text_embedder.embed_texts([c.text for cs in candidates for c in cs])
         record = aggregate_object(manifest, cfg, candidates, image_embs, text_embs)
 
-        text_emb = providers.text_embedder.embed_text(record.global_annotation.full_text)
+        text_emb = providers.text_embedder.embed_text(record.global_annotation["full_text"])
         cloud_emb = providers.cloud_embedder.embed_cloud(manifest.point_cloud)
         record.gating = gate(text_emb, cloud_emb, cfg.gate_threshold)
     except EngineError as e:
@@ -276,33 +275,16 @@ def record_to_doc(record: AnnotationRecord) -> dict:
     files; the run summary has the phase times.
     The bandit's per-round trace is not kept at all (see replay_bandit).
     """
-    doc = {
+    return {
         "schema_version": RECORD_SCHEMA_VERSION,
         "object_id": record.object_id,
         "status": record.status,
         "error": record.error,
         "metadata": record.metadata,
-        "views": None,
-        "global": None,
-        "gating": None,
+        "views": record.views,
+        "global": record.global_annotation,
+        "gating": record.gating,
     }
-    if record.status != "ok":
-        return doc
-    ga = record.global_annotation
-    doc["views"] = record.views
-    doc["global"] = {
-        "core_sentence": ga.core_sentence,
-        "supplementary": ga.supplementary,
-        "full_text": ga.full_text,
-        "score_global": ga.score_global,
-        "w_fb": record.w_fb,
-        "per_view": [
-            {"view": s.view.value, "text": s.text, "score": s.score}
-            for s in ga.per_view
-        ],
-    }
-    doc["gating"] = asdict(record.gating)
-    return doc
 
 
 def record_to_json(record: AnnotationRecord) -> str:
@@ -465,10 +447,10 @@ class RunTally:
         if record.status != "ok":
             return
         self.ok += 1
-        if not record.gating.passed:
+        if not record.gating["passed"]:
             self.flagged.append(
                 flagged_record(
-                    record.object_id, record.gating, record.global_annotation.full_text
+                    record.object_id, record.gating, record.global_annotation["full_text"]
                 )
             )
 

@@ -8,7 +8,6 @@ supplementary detail.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import EmptyText, MissingFrontOrBack, MissingView, OutOfRangeArgument
 from .model import SIDE_VIEWS, VIEW_ORDER, Viewpoint
@@ -31,25 +30,10 @@ class ViewSelection:
             raise ValueError(f"selection score must be in [0, 1], got {self.score!r}")
 
 
-class FrontBackCombined(NamedTuple):
-    text: str
-    score: float      # clamped to [0, 1] for downstream averaging
-    raw_score: float  # unclamped weighted value, kept for ranking
-
-
-@dataclass(frozen=True)
-class GlobalAnnotation:
-    core_sentence: str
-    supplementary: str
-    full_text: str
-    score_global: float
-    per_view: tuple[ViewSelection, ...]
-
-
 def prioritize_front_back(
     selections: list[ViewSelection], w_fb: float
-) -> FrontBackCombined:
-    """Concatenate front then back text; score is w_fb times their mean."""
+) -> tuple[str, float]:
+    """Front then back text, and w_fb times their mean score clamped to [0, 1]."""
     if not math.isfinite(w_fb) or w_fb < 1.0:
         raise OutOfRangeArgument(f"w_fb must be >= 1, got {w_fb!r}")
     by_view = {s.view: s for s in selections}
@@ -57,9 +41,8 @@ def prioritize_front_back(
     if missing:
         raise MissingFrontOrBack(f"missing selections: {', '.join(missing)}")
     front, back = by_view[Viewpoint.FRONT], by_view[Viewpoint.BACK]
-    text = f"{front.text} {back.text}"
     raw = w_fb * (front.score + back.score) / 2.0
-    return FrontBackCombined(text=text, score=min(1.0, max(0.0, raw)), raw_score=raw)
+    return f"{front.text} {back.text}", min(1.0, max(0.0, raw))
 
 
 def extract_core_sentence(text: str) -> str:
@@ -87,22 +70,23 @@ def extract_core_sentence(text: str) -> str:
     return text
 
 
-def assemble_global(selections: list[ViewSelection], w_fb: float) -> GlobalAnnotation:
-    """Build the global annotation from all six view selections.
+def assemble_global(selections: list[ViewSelection], w_fb: float) -> dict:
+    """The record's global document, from all six view selections.
 
     The core sentence comes from the combined front/back text. The
     supplementary text is the highest-scoring side view (left, right,
     top, bottom); ties prefer the longest text, then canonical view
     order. The global score averages the front/back priority score with
-    the supplementary view's score.
+    the supplementary view's score. `w_fb` and the selections, in
+    VIEW_ORDER, are kept in the document so it can be replayed.
     """
     by_view = {s.view: s for s in selections}
     missing = [v.value for v in VIEW_ORDER if v not in by_view]
     if missing:
         raise MissingView(f"missing selections: {', '.join(missing)}")
 
-    fb = prioritize_front_back(selections, w_fb)
-    core = extract_core_sentence(fb.text).strip()
+    fb_text, fb_score = prioritize_front_back(selections, w_fb)
+    core = extract_core_sentence(fb_text).strip()
 
     best = None
     for view in SIDE_VIEWS:
@@ -115,12 +99,14 @@ def assemble_global(selections: list[ViewSelection], w_fb: float) -> GlobalAnnot
             best = s
     supplementary = best.text.strip()
 
-    full_text = f"{core} {supplementary}"
-    score_global = (fb.score + best.score) / 2.0
-    return GlobalAnnotation(
-        core_sentence=core,
-        supplementary=supplementary,
-        full_text=full_text,
-        score_global=score_global,
-        per_view=tuple(by_view[v] for v in VIEW_ORDER),
-    )
+    return {
+        "core_sentence": core,
+        "supplementary": supplementary,
+        "full_text": f"{core} {supplementary}",
+        "score_global": (fb_score + best.score) / 2.0,
+        "w_fb": w_fb,
+        "per_view": [
+            {"view": v.value, "text": by_view[v].text, "score": by_view[v].score}
+            for v in VIEW_ORDER
+        ],
+    }

@@ -39,21 +39,21 @@ def test_pair_validation():
 
 def test_gate_passes_at_and_above_threshold(mk):
     d = gate(mk(1, 0), mk(1, 0), threshold=0.557)
-    assert d.passed and d.similarity == pytest.approx(1.0)
-    assert d.flagged_reason is None
+    assert d["passed"] and d["similarity"] == pytest.approx(1.0)
+    assert d["flagged_reason"] is None
 
 
 def test_gate_flags_below_threshold(mk):
     d = gate(mk(1, 0), mk(0, 1), threshold=0.557)
-    assert not d.passed
-    assert d.similarity == pytest.approx(0.0, abs=1e-12)
-    assert d.flagged_reason == FLAG_REASON
+    assert not d["passed"]
+    assert d["similarity"] == pytest.approx(0.0, abs=1e-12)
+    assert d["flagged_reason"] == FLAG_REASON
 
 
 def test_gate_boundary_is_inclusive(mk):
     # similarity exactly at the threshold passes
     d = gate(mk(1, 0), mk(1, 0), threshold=1.0 - 1e-12)
-    assert d.passed
+    assert d["passed"]
 
 
 def test_gate_threshold_range_enforced(mk):

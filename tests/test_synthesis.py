@@ -26,16 +26,14 @@ def full_set(front=0.8, back=0.6, left=0.5, right=0.7, top=0.4, bottom=0.3):
 
 
 def test_front_back_concatenation_and_weighting():
-    fb = prioritize_front_back(full_set(), w_fb=1.2)
-    assert fb.text == "A blue kettle with a steel spout. The back shows a hinged lid."
-    assert fb.raw_score == pytest.approx(1.2 * (0.8 + 0.6) / 2.0, abs=1e-12)
-    assert fb.score == fb.raw_score  # 0.84 needs no clamping
+    text, score = prioritize_front_back(full_set(), w_fb=1.2)
+    assert text == "A blue kettle with a steel spout. The back shows a hinged lid."
+    assert score == 1.2 * (0.8 + 0.6) / 2.0  # 0.84 needs no clamping
 
 
-def test_front_back_score_clamped_but_raw_retained():
-    fb = prioritize_front_back(full_set(front=0.95, back=0.85), w_fb=1.2)
-    assert fb.raw_score == pytest.approx(1.08, abs=1e-12)
-    assert fb.score == 1.0
+def test_front_back_score_clamped():
+    _, score = prioritize_front_back(full_set(front=0.95, back=0.85), w_fb=1.2)
+    assert score == 1.0  # 1.2 * 0.9 = 1.08 before clamping
 
 
 def test_front_back_weight_must_be_at_least_one():
@@ -86,15 +84,14 @@ def test_core_sentence_empty_rejected():
 def test_assemble_global_structure():
     selections = full_set()
     ga = assemble_global(selections, w_fb=1.2)
-    assert ga.core_sentence == "A blue kettle with a steel spout."
+    assert ga["core_sentence"] == "A blue kettle with a steel spout."
     # right view wins among the four sides on score
-    assert ga.supplementary == "Right side has a long handle."
-    assert ga.full_text == f"{ga.core_sentence} {ga.supplementary}"
+    assert ga["supplementary"] == "Right side has a long handle."
+    assert ga["full_text"] == f"{ga['core_sentence']} {ga['supplementary']}"
     fb_score = 1.2 * (0.8 + 0.6) / 2.0
-    assert ga.score_global == pytest.approx((fb_score + 0.7) / 2.0, abs=1e-12)
-    assert tuple(s.view for s in ga.per_view) == (
-        Viewpoint.FRONT, Viewpoint.BACK, Viewpoint.LEFT,
-        Viewpoint.RIGHT, Viewpoint.TOP, Viewpoint.BOTTOM,
+    assert ga["score_global"] == pytest.approx((fb_score + 0.7) / 2.0, abs=1e-12)
+    assert tuple(s["view"] for s in ga["per_view"]) == (
+        "front", "back", "left", "right", "top", "bottom",
     )
 
 
@@ -102,7 +99,7 @@ def test_assemble_global_side_tie_prefers_longer_text():
     selections = full_set(left=0.7, right=0.7, top=0.1, bottom=0.1)
     ga = assemble_global(selections, w_fb=1.2)
     # equal score: the longer description carries more information
-    assert ga.supplementary == "Right side has a long handle."
+    assert ga["supplementary"] == "Right side has a long handle."
 
 
 def test_assemble_global_full_tie_takes_view_order():
@@ -115,7 +112,7 @@ def test_assemble_global_full_tie_takes_view_order():
         sel(Viewpoint.BOTTOM, "Same length DD.", 0.5),
     ]
     ga = assemble_global(selections, w_fb=1.2)
-    assert ga.supplementary == "Same length AA."
+    assert ga["supplementary"] == "Same length AA."
 
 
 def test_assemble_global_missing_side_view_rejected():
@@ -128,8 +125,8 @@ def test_assemble_global_strips_core_before_joining():
     selections = full_set()
     selections[0] = sel(Viewpoint.FRONT, "A blue kettle.   Trailing detail.", 0.8)
     ga = assemble_global(selections, w_fb=1.2)
-    assert ga.core_sentence == "A blue kettle."
-    assert "  " not in ga.full_text
+    assert ga["core_sentence"] == "A blue kettle."
+    assert "  " not in ga["full_text"]
 
 
 def test_view_selection_validation():
