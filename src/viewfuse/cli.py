@@ -38,6 +38,10 @@ from .simulate import (
     summarize,
 )
 
+# the number of distinct 6-decimal alphas in [0, 1]: a sweep grid with
+# more points only prints repeated rows
+MAX_SWEEP_POINTS = 1_000_001
+
 
 def _add_gaussian_args(parser: argparse.ArgumentParser, required: bool) -> None:
     for flag in ("--mu-pos", "--mu-neg", "--sigma-pos", "--sigma-neg"):
@@ -168,9 +172,12 @@ def _cmd_threshold_sweep(args) -> int:
         raise ConfigError("--step must be positive")
     if args.stop < args.start:
         raise ConfigError("--to must be >= --from")
+    span = (args.stop - args.start) / args.step
+    if math.isinf(span) or round(span) + 1 > MAX_SWEEP_POINTS:
+        raise ConfigError(f"the grid holds more than {MAX_SWEEP_POINTS} points; use a larger --step")
     params = _gaussian_pair(args)
     lines = ["alpha,fnr,fpr,total_error"]
-    steps = int(round((args.stop - args.start) / args.step))
+    steps = round(span)
     best_alpha, best_total = None, None
     for k in range(steps + 1):
         alpha = args.start + k * args.step

@@ -526,19 +526,27 @@ def run_corpus(
     summary's `phase_seconds` splits the run's wall time into `ingest`
     (manifests, clouds, providers and the output directory), `annotate`
     (waiting for the next record) and `write` (records and the flagged
-    export).
+    export). The HTTP providers' connections are closed when the
+    objects are done, on an error too.
     """
     clock = PhaseClock("ingest", "annotate", "write")
     manifests, failures = load_corpus_entries(corpus_dir, cfg)
-    providers, _backing, cache = build_providers(cfg, mock=mock, corpus_dir=corpus_dir)
+    providers, backing, cache = build_providers(cfg, mock=mock, corpus_dir=corpus_dir)
     records_dir = Path(out_dir) / "records"
     records_dir.mkdir(parents=True, exist_ok=True)
     clock.lap("ingest")
     tally = RunTally()
-    for record in itertools.chain(failures, iter_records(manifests, cfg, providers)):
-        clock.lap("annotate")
-        write_record(record, records_dir)
-        tally.add(record)
-        clock.lap("write")
+    records = iter_records(manifests, cfg, providers)
+    try:
+        for record in itertools.chain(failures, records):
+            clock.lap("annotate")
+            write_record(record, records_dir)
+            tally.add(record)
+            clock.lap("write")
+    finally:
+        # stop the objects still running before their connections close
+        records.close()
+        if not mock:  # the four HTTP roles share one session
+            backing.generator.session.close()
     clock.lap("annotate")
     return write_outputs(tally, out_dir, cfg, clock, cache=cache)

@@ -30,6 +30,7 @@ import concurrent.futures
 import http.client
 import json
 import logging
+import math
 import os
 import re
 import ssl
@@ -42,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import (
+    ConfigError,
     DimensionContractViolation,
     MalformedProviderResponse,
     ProviderUnavailable,
@@ -65,6 +67,10 @@ _FANOUT = concurrent.futures.ThreadPoolExecutor(
 )
 
 _PLACEHOLDER = re.compile(r"^\{(\w+)\}$")
+# an HTTP header name (an RFC 9110 token), and a header value that
+# http.client sends as is: Latin-1 with no line break
+_HEADER_NAME = re.compile(r"[!#$%&'*+.^_`|~0-9A-Za-z-]+")
+_HEADER_VALUE = re.compile(r"[^\r\n\u0100-\U0010ffff]*")
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,25 @@ class HttpProviderConfig:
     embedding_path: str = "data[0].embedding"
     prompt: str = "Describe the {view} view of this object."
     extra_headers: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        """Reject, before any request, a value every request would fail on."""
+        if not 0.0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be finite and > 0, got {self.timeout!r}")
+        try:
+            _json_body(self.request_template)
+        except ValueError as e:
+            raise ConfigError(f"request_template must be valid JSON: {e}") from None
+        for name, value in self.extra_headers.items():
+            if not (
+                _HEADER_NAME.fullmatch(name)
+                and isinstance(value, str)
+                and _HEADER_VALUE.fullmatch(value)
+            ):
+                raise ConfigError(
+                    "extra_headers must be header names mapped to Latin-1 strings "
+                    f"without line breaks, got {name!r}: {value!r}"
+                )
 
 
 def substitute_template(template: Any, values: dict[str, Any]) -> Any:

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from viewfuse import cli
 from viewfuse.cli import main
 from viewfuse.config import PROVIDER_ROLES
 
@@ -89,6 +91,52 @@ def test_threshold_sweep_non_finite_bound_exit_2(capsys, bounds):
     )
     assert (code, out) == (2, "")
     assert "must be finite" in err
+
+
+@pytest.fixture
+def counted_error_rates(monkeypatch):
+    """Replaces the sweep's error_rates with a constant one that raises
+    after MAX_SWEEP_POINTS + 1 calls, so an unbounded grid fails fast."""
+    calls = []
+
+    def fake(params, alpha):
+        calls.append(alpha)
+        if len(calls) > cli.MAX_SWEEP_POINTS:
+            raise AssertionError("the sweep went past MAX_SWEEP_POINTS points")
+        return 0.5, 0.5, 1.0
+
+    monkeypatch.setattr(cli, "error_rates", fake)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("0.4", "0.7", "1e-300"),
+        ("0.4", "0.7", "1e-7"),
+        ("0", "1", "9.99999e-7"),  # 1,000,002 points
+        ("0", "1", "1e-320"),  # the point count overflows a float
+    ],
+    ids=["step-1e-300", "step-1e-7", "one-point-over", "step-subnormal"],
+)
+def test_threshold_sweep_grid_beyond_max_points_exit_2(capsys, counted_error_rates, bounds):
+    start, stop, step = bounds
+    code, out, err = run(
+        capsys, "threshold", "sweep", "--from", start, "--to", stop, "--step", step,
+    )
+    assert (code, out, counted_error_rates) == (2, "", [])
+    assert f"more than {cli.MAX_SWEEP_POINTS} points" in err
+
+
+def test_threshold_sweep_grid_of_max_points_runs(capsys, counted_error_rates, tmp_path):
+    out_file = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys, "threshold", "sweep", "--from", "0", "--to", "1", "--step", "1e-6",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    # the grid's 1,000,001 points less the two ends, 0 and 1, which are skipped
+    assert len(counted_error_rates) == cli.MAX_SWEEP_POINTS - 2
 
 
 def test_bandit_simulate_csv_and_summary(capsys, tmp_path):
@@ -255,6 +303,23 @@ BAD_CONFIGS = {
         "provider 'generate': timeout must be a number",
     ),
 }
+# provider fields of the right type whose value every request would fail on
+BAD_PROVIDER_FIELDS = {
+    "timeout-negative": ("timeout", -1),
+    "timeout-zero": ("timeout", 0),
+    "timeout-nan": ("timeout", math.nan),
+    "timeout-infinite": ("timeout", math.inf),
+    "request_template-nan": ("request_template", {"input": "{text}", "scale": math.nan}),
+    "extra_headers-value-list": ("extra_headers", {"X-Tag": ["a"]}),
+    "extra_headers-value-newline": ("extra_headers", {"X-Tag": "a\nb"}),
+    "extra_headers-value-not-latin1": ("extra_headers", {"X-Tag": "\u20ac"}),
+}
+for case, (name, value) in BAD_PROVIDER_FIELDS.items():
+    BAD_CONFIGS[f"provider-{case}"] = (
+        {"providers": {role: {**HTTP_PROVIDER, name: value} for role in PROVIDER_ROLES}},
+        False,
+        f"provider 'generate': {name} must be ",
+    )
 
 
 @pytest.mark.parametrize("case", BAD_CONFIGS)

@@ -1,11 +1,15 @@
+import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import fields, replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -620,6 +624,108 @@ def test_run_corpus_writes_all_outputs(tmp_path):
     assert all(seconds >= 0 for seconds in stored_summary["phase_seconds"].values())
 
 
+class MockModelServer(ThreadingHTTPServer):
+    """The four provider roles of `build_mock_providers` on a loopback
+    port, one role per path, answered in the shapes HttpProviderConfig's
+    default response paths read."""
+
+    daemon_threads = True
+
+    def __init__(self, providers):
+        super().__init__(("127.0.0.1", 0), MockModelHandler)
+        self.providers = providers
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+
+    def provider_configs(self) -> dict:
+        templates = {
+            "generate": {"image": "{image}", "view": "{prompt}", "n": "{n}", "temperature": "{temperature}"},
+            "embed_text": {"text": "{text}"},
+            "embed_image": {"image": "{image}"},
+            "embed_cloud": {"cloud": "{cloud}"},
+        }
+        url = f"http://127.0.0.1:{self.server_address[1]}"
+        return {
+            role: {"endpoint": f"{url}/{role}", "request_template": tpl, "prompt": "{view}"}
+            for role, tpl in templates.items()
+        }
+
+
+class MockModelHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        p = self.server.providers
+        role = self.path.strip("/")
+        if role == "generate":
+            gen_cfg = GenerationConfig(temperature=body["temperature"], num_candidates=body["n"])
+            cands = p.generator.generate_candidates(Viewpoint(body["view"]), body["image"], gen_cfg)
+            doc = {"choices": [{"text": c.text, "logprobs": list(c.token_logprobs)} for c in cands]}
+        else:
+            if role == "embed_text":
+                vec = p.text_embedder.embed_text(body["text"])
+            elif role == "embed_image":
+                vec = p.image_embedder.embed_image(body["image"])
+            else:
+                vec = p.cloud_embedder.embed_cloud(PointCloud(body["cloud"]))
+            doc = {"data": [{"embedding": list(vec.values)}]}
+        data = json.dumps(doc).encode("utf-8")
+        # one write: a body sent after its headers waits on Nagle's algorithm
+        head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
+        self.wfile.write(head.encode("ascii") + data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture
+def http_cfg(corpus):
+    """Seed 42 and two workers, with providers on a MockModelServer for `corpus`."""
+    truth = json.loads((corpus / "mock_truth.json").read_text())
+    server = MockModelServer(build_mock_providers(seed=42, truth=truth))
+    yield PipelineConfig(seed=42, workers=2, providers=server.provider_configs())
+    server.shutdown()
+    server.server_close()
+
+
+def unclosed_sockets(run):
+    """The ResourceWarnings raised by `run()` and the collection after it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run()
+        gc.collect()
+    return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_run_corpus_over_http_matches_mock_and_closes_its_connections(corpus, tmp_path, http_cfg):
+    run_corpus(corpus, replace(http_cfg, providers={}), mock=True, out_dir=tmp_path / "mock")
+    assert unclosed_sockets(
+        lambda: run_corpus(corpus, http_cfg, mock=False, out_dir=tmp_path / "http")
+    ) == []
+
+    def outputs(out_dir):
+        paths = [*(out_dir / "records").iterdir(), out_dir / "flagged.jsonl"]
+        return {path.name: path.read_bytes() for path in paths}
+
+    assert len(outputs(tmp_path / "mock")) == 5
+    assert outputs(tmp_path / "http") == outputs(tmp_path / "mock")
+
+
+def test_run_corpus_over_http_closes_its_connections_when_aborted(corpus, tmp_path, http_cfg, monkeypatch):
+    def write_one_then_fail(record, records_dir):
+        if any(records_dir.iterdir()):
+            raise OSError("disk full")
+        pipeline.write_atomic(records_dir / "first.json", "{}")
+
+    monkeypatch.setattr(pipeline, "write_record", write_one_then_fail)
+
+    def aborted_run():
+        with pytest.raises(OSError, match="disk full"):
+            run_corpus(corpus, http_cfg, mock=False, out_dir=tmp_path)
+
+    assert unclosed_sockets(aborted_run) == []
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 def test_phase_seconds_split_the_run_without_overlap(corpus, tmp_path, workers):
     cfg = PipelineConfig(seed=42, workers=workers)
@@ -684,10 +790,23 @@ def test_build_providers_http_mode_rejects_bad_keys():
         ("logprobs_path", 3),
         ("extra_headers", []),
         ("request_template", "{text}"),
+        # the right type but a value every request would fail on
+        ("timeout", -1),
+        ("timeout", 0),
+        ("timeout", math.nan),
+        ("timeout", math.inf),
+        ("request_template", {"input": "{text}", "scale": math.nan}),
+        ("extra_headers", {"X-Tag": ["a"]}),
+        ("extra_headers", {"X-Tag": "a\r\nX-Injected: 1"}),
+        ("extra_headers", {"X-Tag": "\u20ac"}),
+        ("extra_headers", {"X:Tag": "a"}),
     ],
     ids=[
         "timeout-string", "timeout-bool", "timeout-beyond-float", "model-number",
         "logprobs_path-number", "extra_headers-list", "request_template-string",
+        "timeout-negative", "timeout-zero", "timeout-nan", "timeout-infinite",
+        "request_template-nan", "extra_headers-value-list", "extra_headers-value-newline",
+        "extra_headers-value-not-latin1", "extra_headers-name-colon",
     ],
 )
 def test_build_providers_http_mode_checks_each_field_type(field, value):
