@@ -11,7 +11,6 @@ live here too.
 import enum
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -20,7 +19,6 @@ from typing import NoReturn
 
 import numpy as np
 
-from .confidence import compute_raw_confidence
 from .errors import EmptyPointCloud, MissingViewpoint, ParseError
 
 DEFAULT_POINT_BUDGET = 10_000
@@ -210,31 +208,14 @@ class CandidateDescription:
     """One generated description of one view.
 
     token_logprobs are natural-log probabilities, one per generated
-    token. When present, raw_confidence must equal their mean absolute
-    value; when a provider could not supply logprobs the tuple is empty
-    and raw_confidence carries the documented fallback value.
+    token, and raw_confidence their mean absolute value; when a provider
+    could not supply logprobs the tuple is empty and raw_confidence
+    carries the fallback providers.resolve_candidates documents.
     """
 
-    view: Viewpoint
     text: str
     token_logprobs: tuple[float, ...]
     raw_confidence: float
-    index: int
-
-    def __post_init__(self):
-        if not isinstance(self.text, str) or not self.text:
-            raise ParseError("candidate text must be a non-empty string")
-        if self.index < 0:
-            raise ParseError(f"candidate index must be >= 0, got {self.index}")
-        if not math.isfinite(self.raw_confidence) or self.raw_confidence < 0:
-            raise ParseError(f"raw_confidence must be finite and >= 0, got {self.raw_confidence!r}")
-        if self.token_logprobs:
-            expected = compute_raw_confidence(list(self.token_logprobs))
-            if abs(expected - self.raw_confidence) > 1e-9:
-                raise ParseError(
-                    f"raw_confidence {self.raw_confidence} disagrees with "
-                    f"token logprobs (expected {expected})"
-                )
 
 
 @dataclass
@@ -244,7 +225,6 @@ class ObjectManifest:
     object_id: str
     view_images: dict[Viewpoint, str]
     point_cloud: PointCloud
-    point_cloud_ref: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -503,7 +483,6 @@ def ingest_manifest(
         object_id=object_id,
         view_images=view_images,
         point_cloud=cloud,
-        point_cloud_ref=cloud_ref,
         metadata=metadata,
     )
 

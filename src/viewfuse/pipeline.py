@@ -530,10 +530,13 @@ def run_corpus(
     objects are done, on an error too.
     """
     clock = PhaseClock("ingest", "annotate", "write")
+    records_dir = Path(out_dir) / "records"
+    try:  # before ingest, so a bad --out fails before any manifest is read
+        records_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {records_dir}: {e.strerror or e}") from None
     manifests, failures = load_corpus_entries(corpus_dir, cfg)
     providers, backing, cache = build_providers(cfg, mock=mock, corpus_dir=corpus_dir)
-    records_dir = Path(out_dir) / "records"
-    records_dir.mkdir(parents=True, exist_ok=True)
     clock.lap("ingest")
     tally = RunTally()
     records = iter_records(manifests, cfg, providers)

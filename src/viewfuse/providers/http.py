@@ -97,6 +97,12 @@ class HttpProviderConfig:
             _json_body(self.request_template)
         except ValueError as e:
             raise ConfigError(f"request_template must be valid JSON: {e}") from None
+        if not _HEADER_NAME.fullmatch(self.auth_header):
+            raise ConfigError(f"auth_header must be an HTTP header name, got {self.auth_header!r}")
+        if not _HEADER_VALUE.fullmatch(self.auth_scheme):
+            raise ConfigError(
+                f"auth_scheme must be Latin-1 without line breaks, got {self.auth_scheme!r}"
+            )
         for name, value in self.extra_headers.items():
             if not (
                 _HEADER_NAME.fullmatch(name)
@@ -107,6 +113,24 @@ class HttpProviderConfig:
                     "extra_headers must be header names mapped to Latin-1 strings "
                     f"without line breaks, got {name!r}: {value!r}"
                 )
+        self.api_key()
+
+    def api_key(self) -> str:
+        """The key `api_key_env` holds, "" when it is unset.
+
+        ConfigError, naming the variable and never the key, when no
+        header could carry the key: it is not Latin-1 or holds a line break.
+        """
+        try:
+            key = os.environ.get(self.api_key_env, "")
+        except UnicodeEncodeError:  # a lone surrogate, which no variable name holds
+            key = None
+        if key is None or not _HEADER_VALUE.fullmatch(key):
+            raise ConfigError(
+                "api_key_env must be a variable that holds a Latin-1 key without "
+                f"line breaks, got {self.api_key_env!r}"
+            )
+        return key
 
 
 def substitute_template(template: Any, values: dict[str, Any]) -> Any:
@@ -334,7 +358,7 @@ class _HttpBase:
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json", **self.config.extra_headers}
-        key = os.environ.get(self.config.api_key_env, "")
+        key = self.config.api_key()
         if key:
             scheme = self.config.auth_scheme
             headers[self.config.auth_header] = f"{scheme} {key}".strip()
@@ -417,12 +441,9 @@ class HttpCandidateGenerator(_HttpBase, CandidateGenerator):
             )
             for view, image_ref in items
         ]
-        return [
-            self._candidates(view, doc, cfg)
-            for (view, _), doc in zip(items, self._post_many(bodies))
-        ]
+        return [self._candidates(doc, cfg) for doc in self._post_many(bodies)]
 
-    def _candidates(self, view: Viewpoint, doc: dict, cfg: GenerationConfig) -> list:
+    def _candidates(self, doc: dict, cfg: GenerationConfig) -> list:
         texts = extract_path(doc, self.config.texts_path)
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise MalformedProviderResponse(
@@ -455,7 +476,7 @@ class HttpCandidateGenerator(_HttpBase, CandidateGenerator):
                 logprob_lists = [
                     tuple(map(float, lp)) if lp is not None else None for lp in raw
                 ]
-        return resolve_candidates(view, texts, logprob_lists)
+        return resolve_candidates(texts, logprob_lists)
 
 
 class HttpEmbedder(_HttpBase, TextEmbedder, ImageEmbedder, CloudEmbedder):

@@ -204,7 +204,7 @@ class MockCandidateGenerator(CandidateGenerator):
                     logprobs = None
                 texts.append(text)
                 logprob_lists.append(logprobs)
-            results.append(resolve_candidates(view, texts, logprob_lists))
+            results.append(resolve_candidates(texts, logprob_lists))
         return results
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 from viewfuse.errors import CacheCorruption, CacheDirUnwritable
-from viewfuse.model import PointCloud, Viewpoint
+from viewfuse.model import CandidateDescription, PointCloud, Viewpoint
 from viewfuse.providers import GenerationConfig, make_request
 from viewfuse.providers.cache import CachedEmbedder, ResponseCache, wrap_with_cache
-from viewfuse.providers.mock import build_mock_providers
+from viewfuse.providers.mock import MockCandidateGenerator, build_mock_providers
 
 CFG = GenerationConfig(temperature=0.7, num_candidates=5)
 
@@ -181,6 +182,62 @@ def test_cached_generator_roundtrips_candidates(tmp_path):
     assert providers.generator.calls == 2
 
 
+def test_generate_entry_holds_only_texts_and_logprobs(tmp_path):
+    cached = wrap_with_cache(build_mock_providers(seed=9), ResponseCache(tmp_path))
+    cached.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG)
+    [path] = (tmp_path / "generate_candidates").iterdir()
+    candidates = json.loads(path.read_text(encoding="utf-8"))["candidates"]
+    assert len(candidates) == CFG.num_candidates
+    assert all(set(c) == {"text", "token_logprobs"} for c in candidates)
+
+
+def test_logprob_less_candidates_roundtrip_with_the_sibling_median(tmp_path):
+    def providers():
+        generator = MockCandidateGenerator(seed=2, missing_logprob_rate=0.4)
+        return dataclasses.replace(build_mock_providers(seed=2), generator=generator)
+
+    direct = providers().generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG)
+    assert {c.token_logprobs == () for c in direct} == {True, False}
+    writer = wrap_with_cache(providers(), ResponseCache(tmp_path))
+    assert writer.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG) == direct
+    backing = providers()
+    reader = ResponseCache(tmp_path)
+    hit = wrap_with_cache(backing, reader).generator.generate_candidates(
+        Viewpoint.FRONT, "mug__o__front.png", CFG
+    )
+    assert hit == direct
+    assert backing.generator.calls == 0
+    assert reader.stats() == {"hits": 1, "misses": 0}
+
+
+def test_generate_entry_in_the_older_format_is_still_a_hit(tmp_path):
+    # entries once also stored each candidate's view, index and raw
+    # confidence; the confidences are worked out again from the logprobs
+    cfg = GenerationConfig(temperature=0.7, num_candidates=2)
+
+    def call(providers):
+        return providers.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", cfg)
+
+    call(wrap_with_cache(build_mock_providers(seed=9), ResponseCache(tmp_path)))
+    [path] = (tmp_path / "generate_candidates").iterdir()
+    path.write_text(
+        '{"candidates":['
+        '{"index":0,"raw_confidence":1.0,"text":"A red mug.","token_logprobs":[-0.5,-1.5],'
+        '"view":"front"},'
+        '{"index":1,"raw_confidence":1.0,"text":"A blue mug.","token_logprobs":[],"view":"front"}'
+        "]}",
+        encoding="utf-8",
+    )
+    backing = build_mock_providers(seed=9)
+    reader = ResponseCache(tmp_path)
+    assert call(wrap_with_cache(backing, reader)) == [
+        CandidateDescription(text="A red mug.", token_logprobs=(-0.5, -1.5), raw_confidence=1.0),
+        CandidateDescription(text="A blue mug.", token_logprobs=(), raw_confidence=1.0),
+    ]
+    assert backing.generator.calls == 0
+    assert reader.stats() == {"hits": 1, "misses": 0}
+
+
 def test_cached_embedders_roundtrip_exact_floats(tmp_path):
     providers = build_mock_providers(seed=9)
     cached = wrap_with_cache(providers, ResponseCache(tmp_path))
@@ -236,6 +293,15 @@ DAMAGES = {
     "number-text": (
         "generate_candidates",
         lambda doc: {"candidates": [{**c, "text": 5} for c in doc["candidates"]]},
+    ),
+    "empty-text": (
+        "generate_candidates",
+        lambda doc: {"candidates": [{**c, "text": ""} for c in doc["candidates"]]},
+    ),
+    # a lone surrogate, which no record or request key can encode
+    "surrogate-text": (
+        "generate_candidates",
+        lambda doc: {"candidates": [{**c, "text": "A mug \ud800."} for c in doc["candidates"]]},
     ),
     "short-list": ("generate_candidates", lambda doc: {"candidates": doc["candidates"][:-1]}),
     "empty-list": ("generate_candidates", lambda doc: {"candidates": []}),

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from viewfuse import cli
+from viewfuse import cli, pipeline
 from viewfuse.cli import main
 from viewfuse.config import PROVIDER_ROLES
 
@@ -313,6 +313,11 @@ BAD_PROVIDER_FIELDS = {
     "extra_headers-value-list": ("extra_headers", {"X-Tag": ["a"]}),
     "extra_headers-value-newline": ("extra_headers", {"X-Tag": "a\nb"}),
     "extra_headers-value-not-latin1": ("extra_headers", {"X-Tag": "\u20ac"}),
+    "auth_header-not-a-name": ("auth_header", "X Bad:"),
+    "auth_scheme-newline": ("auth_scheme", "Bearer\n"),
+    # the key's value must not reach the error
+    "api_key_env-key-newline": ("api_key_env", "VIEWFUSE_TEST_KEY"),
+    "api_key_env-key-not-latin1": ("api_key_env", "VIEWFUSE_TEST_KEY_EURO"),
 }
 for case, (name, value) in BAD_PROVIDER_FIELDS.items():
     BAD_CONFIGS[f"provider-{case}"] = (
@@ -323,7 +328,9 @@ for case, (name, value) in BAD_PROVIDER_FIELDS.items():
 
 
 @pytest.mark.parametrize("case", BAD_CONFIGS)
-def test_annotate_bad_config_exit_2(capsys, tmp_path, case):
+def test_annotate_bad_config_exit_2(capsys, monkeypatch, tmp_path, case):
+    monkeypatch.setenv("VIEWFUSE_TEST_KEY", "sk-secret\ndef")
+    monkeypatch.setenv("VIEWFUSE_TEST_KEY_EURO", "sk-secret\u20ac")
     doc, mock, named = BAD_CONFIGS[case]
     corpus = tmp_path / "corpus"
     run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "1")
@@ -335,6 +342,32 @@ def test_annotate_bad_config_exit_2(capsys, tmp_path, case):
     )
     assert (code, out) == (2, "")
     assert named in err
+    assert "sk-secret" not in err
+
+
+def test_annotate_out_that_is_a_file_exit_2_before_ingest(capsys, monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus"
+    run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "1")
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out_file = tmp_path / "out"
+    out_file.write_text("a plain file where the output directory must go")
+    ingested = []
+    ingest = pipeline.ingest_manifest
+
+    def spy(*args, **kwargs):
+        ingested.append(args)
+        return ingest(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ingest_manifest", spy)
+    code, out, err = run(
+        capsys, "annotate", "--corpus", str(corpus), "--config", str(config), "--mock",
+        "--out", str(out_file),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot make output directory {out_file / 'records'}: ")
+    assert ingested == []
+    assert out_file.read_text() == "a plain file where the output directory must go"
 
 
 def test_annotate_non_utf8_config_exit_2(capsys, tmp_path):

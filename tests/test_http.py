@@ -412,7 +412,6 @@ def test_generate_views_returns_input_order():
     gen = HttpCandidateGenerator(config, session=session, sleep=lambda s: None)
     out = gen.generate_views(list(zip(views, refs)), GenerationConfig(num_candidates=2))
     assert [[c.text for c in cands] for cands in out] == [[f"{r} a", f"{r} b"] for r in refs]
-    assert [cands[0].view for cands in out] == views
 
 
 # (outcome per failing input, exception expected from the first of them)

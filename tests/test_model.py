@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from viewfuse.errors import EmptyPointCloud, MissingViewpoint, ParseError
 from viewfuse.model import (
     VIEW_ORDER,
-    CandidateDescription,
     EmbeddingVector,
     PointCloud,
     Viewpoint,
@@ -410,26 +409,6 @@ def test_cloud_digest_pinned():
     cloud = PointCloud(np.random.default_rng(1234).normal(size=(1000, 3)))
     assert cloud_digest(cloud) == hashlib.sha256(_fstring_digest_payload(cloud.points)).hexdigest()
     assert cloud_digest(cloud) == "cd850781335321b2553ac240ec0c7ada1b7eaa13e339b73f100779d816e859e9"
-
-
-def test_candidate_description_consistency_enforced():
-    CandidateDescription(
-        view=Viewpoint.FRONT, text="a mug", token_logprobs=(-1.0, -3.0),
-        raw_confidence=2.0, index=0,
-    )
-    with pytest.raises(ParseError):
-        CandidateDescription(
-            view=Viewpoint.FRONT, text="a mug", token_logprobs=(-1.0, -3.0),
-            raw_confidence=1.5, index=0,
-        )
-    with pytest.raises(ParseError):
-        CandidateDescription(
-            view=Viewpoint.FRONT, text="", token_logprobs=(), raw_confidence=1.0, index=0,
-        )
-    with pytest.raises(ParseError):
-        CandidateDescription(
-            view=Viewpoint.FRONT, text="a mug", token_logprobs=(), raw_confidence=1.0, index=-1,
-        )
 
 
 def _write_manifest(tmp_path, views=None, **overrides):

@@ -301,17 +301,15 @@ def test_aggregate_object_invariants(views, strategy, rounds, seed):
         object_id="obj_h",
         view_images={view: f"{view.value}.png" for view in VIEW_ORDER},
         point_cloud=PointCloud([[0.0, 0.0, 0.0]]),
-        point_cloud_ref="obj_h.ply",
     )
     candidates = [
         [
             CandidateDescription(
-                view=view, text=text, token_logprobs=tuple(lps),
-                raw_confidence=compute_raw_confidence(lps), index=i,
+                text=text, token_logprobs=tuple(lps), raw_confidence=compute_raw_confidence(lps)
             )
-            for i, (text, lps, _) in enumerate(view_candidates)
+            for text, lps, _ in view_candidates
         ]
-        for view, (_, view_candidates) in zip(VIEW_ORDER, views)
+        for _, view_candidates in views
     ]
     image_embs = [EmbeddingVector(image) for image, _ in views]
     text_embs = [EmbeddingVector(emb) for _, cs in views for _, _, emb in cs]
@@ -800,6 +798,10 @@ def test_build_providers_http_mode_rejects_bad_keys():
         ("extra_headers", {"X-Tag": "a\r\nX-Injected: 1"}),
         ("extra_headers", {"X-Tag": "\u20ac"}),
         ("extra_headers", {"X:Tag": "a"}),
+        ("auth_header", "X Bad:"),
+        ("auth_scheme", "Bearer\n"),
+        ("api_key_env", "VIEWFUSE_TEST_KEY"),
+        ("api_key_env", "\ud800"),
     ],
     ids=[
         "timeout-string", "timeout-bool", "timeout-beyond-float", "model-number",
@@ -807,15 +809,21 @@ def test_build_providers_http_mode_rejects_bad_keys():
         "timeout-negative", "timeout-zero", "timeout-nan", "timeout-infinite",
         "request_template-nan", "extra_headers-value-list", "extra_headers-value-newline",
         "extra_headers-value-not-latin1", "extra_headers-name-colon",
+        "auth_header-not-a-name", "auth_scheme-newline", "api_key_env-key-newline",
+        "api_key_env-surrogate",
     ],
 )
-def test_build_providers_http_mode_checks_each_field_type(field, value):
+def test_build_providers_http_mode_checks_each_field_type(monkeypatch, field, value):
+    monkeypatch.setenv("VIEWFUSE_TEST_KEY", "sk-secret\ndef")
     roles = {
         role: {"endpoint": "https://x", "request_template": {}, field: value}
         for role in PROVIDER_ROLES
     }
-    with pytest.raises(ConfigError, match=f"^provider 'generate': {field} must be "):
+    with pytest.raises(ConfigError, match=f"^provider 'generate': {field} must be ") as err:
         build_providers(PipelineConfig(providers=roles), mock=False)
+    assert "sk-secret" not in str(err.value)
+    if field == "api_key_env":  # the variable is named instead
+        assert repr(value) in str(err.value)
 
 
 def test_missing_corpus_dir_rejected(tmp_path):
