@@ -54,8 +54,6 @@ def ucb1_select(state: BanditState) -> int:
     first; other ties also break to the lowest index. The round counter
     is treated as at least 1 so the logarithm is defined on round one.
     """
-    if state.arm_count < 1:
-        raise NoArms("no arms to select from")
     for a in range(state.arm_count):
         if state.pulls[a] == 0:
             return a
@@ -81,11 +79,7 @@ def update_mean(state: BanditState, arm: int, reward: RewardSignal) -> BanditSta
 
 
 def epsilon_greedy_select(state: BanditState, epsilon: float, rng: random.Random) -> int:
-    """With probability epsilon explore uniformly, else exploit the best mean."""
-    if state.arm_count < 1:
-        raise NoArms("no arms to select from")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    """With probability epsilon (in [0, 1]) explore uniformly, else exploit the best mean."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return rng.randrange(state.arm_count)
     best_arm, best_mean = 0, -math.inf
@@ -119,8 +113,6 @@ class ThompsonState:
 
 def thompson_select(state: ThompsonState, rng: random.Random) -> int:
     """Sample each arm's posterior and pick the largest draw."""
-    if state.arm_count < 1:
-        raise NoArms("no arms to select from")
     best_arm, best_draw = 0, -math.inf
     for a in range(state.arm_count):
         draw = rng.betavariate(

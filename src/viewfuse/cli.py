@@ -118,6 +118,17 @@ def _parse_int_list(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
 
 
+def _write_csv(csv: str, out: str | None) -> None:
+    """Write `csv` to the file `out`, or to stdout when `out` is not given."""
+    if not out:
+        sys.stdout.write(csv)
+        return
+    try:
+        Path(out).write_text(csv, encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot write {out}: {e.strerror or e}") from None
+
+
 def _gaussian_pair(args) -> TruncatedGaussianPair:
     return TruncatedGaussianPair(
         mu_pos=args.mu_pos, mu_neg=args.mu_neg, sigma_pos=args.sigma_pos, sigma_neg=args.sigma_neg
@@ -130,7 +141,6 @@ def _cmd_annotate(args) -> int:
         cfg.seed = args.seed
     if args.workers is not None:
         cfg.workers = args.workers
-    cfg.validate()
     started = time.perf_counter()
     summary = run_corpus(args.corpus, cfg, mock=args.mock, out_dir=args.out)
     elapsed = time.perf_counter() - started
@@ -187,11 +197,7 @@ def _cmd_threshold_sweep(args) -> int:
         lines.append(f"{alpha:.6f},{fnr!r},{fpr!r},{total!r}")
         if best_total is None or total < best_total:
             best_alpha, best_total = alpha, total
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
-    else:
-        sys.stdout.write(csv)
+    _write_csv("\n".join(lines) + "\n", args.out)
     if best_alpha is not None:
         print(
             f"minimum total error {best_total:.6f} at alpha={best_alpha:.6f}",
@@ -216,17 +222,15 @@ def _cmd_bandit_simulate(args) -> int:
         raise ConfigError(
             f"unknown strategies {unknown}; choose from {list(STRATEGIES)}"
         )
+    if not strategies:
+        raise ConfigError("--strategies must list at least one strategy")
     seeds = _parse_int_list(args.seeds)
     if not seeds:
         raise ConfigError("--seeds must list at least one integer")
     if args.rounds < 1:
         raise ConfigError("--rounds must be >= 1")
     runs = simulate_strategies(env, strategies, seeds, rounds=args.rounds)
-    csv = runs_to_csv(runs)
-    if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
-    else:
-        sys.stdout.write(csv)
+    _write_csv(runs_to_csv(runs), args.out)
     for strategy, agg in summarize(runs).items():
         print(
             f"{strategy}: mean_reward={agg['mean_reward']:.4f} "

@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    EmptyInput,
-    InvalidEps,
     LengthMismatch,
     ZeroNormVector,
 )
@@ -56,15 +54,9 @@ def dbscan_cluster(
     min_pts neighbors) expand. Seeds are taken in ascending index order
     so the labeling is deterministic: cluster ids increase with the
     index of their first core point, and a border point reachable from
-    several clusters joins the earliest one.
+    several clusters joins the earliest one. It takes one or more
+    embeddings, `eps` > 0 and `min_pts` >= 1, as PipelineConfig holds them.
     """
-    if len(embeddings) == 0:
-        raise EmptyInput("at least one embedding required")
-    if eps <= 0:
-        raise InvalidEps(f"eps must be positive, got {eps}")
-    if min_pts < 1:
-        raise InvalidEps(f"min_pts must be >= 1, got {min_pts}")
-
     n = len(embeddings)
     dist = _cosine_distance_matrix(embeddings)
     neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]

@@ -9,7 +9,7 @@ weights downstream.
 
 import math
 
-from .errors import EmptyTokenList, NegativeRaw, NonFiniteLogprob
+from .errors import EmptyTokenList, NonFiniteLogprob
 
 
 def compute_raw_confidence(token_logprobs: list[float]) -> float:
@@ -28,7 +28,5 @@ def compute_raw_confidence(token_logprobs: list[float]) -> float:
 
 
 def normalize_confidence(raw: float) -> float:
-    """Map a raw confidence onto (0, 1], strictly decreasing, 0 -> 1."""
-    if not math.isfinite(raw) or raw < 0:
-        raise NegativeRaw(f"raw confidence must be finite and >= 0, got {raw!r}")
+    """Map a raw confidence (finite, >= 0) onto (0, 1], strictly decreasing, 0 -> 1."""
     return math.exp(-raw)

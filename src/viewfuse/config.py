@@ -72,6 +72,7 @@ class PipelineConfig:
         self.validate()
 
     def validate(self) -> None:
+        typed_fields(type(self), self.to_dict(), "config")
         checks = [
             (0.0 <= self.blend_ratio <= 1.0, "blend_ratio must be in [0, 1]"),
             (0.0 < self.gate_threshold < 1.0, "gate_threshold must be in (0, 1)"),
@@ -95,8 +96,6 @@ class PipelineConfig:
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
-        if not isinstance(self.providers, dict):
-            raise ConfigError("providers must be an object")
         unknown_roles = set(self.providers) - set(PROVIDER_ROLES)
         if unknown_roles:
             raise ConfigError(f"unknown provider roles: {sorted(unknown_roles)}")

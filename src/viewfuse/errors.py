@@ -45,10 +45,6 @@ class NonFiniteLogprob(EngineError, ValueError):
     """A token logprob is NaN, infinite, or positive."""
 
 
-class NegativeRaw(EngineError, ValueError):
-    """Raw confidence must be >= 0."""
-
-
 # Embedding geometry
 
 class DimensionMismatch(EngineError, ValueError):
@@ -59,24 +55,14 @@ class ZeroNormVector(EngineError, ValueError):
     """Cosine similarity is undefined for an all-zero vector."""
 
 
-# Clustering
+# Arguments
 
 class EmptyInput(EngineError, ValueError):
     """Operation requires at least one element."""
 
 
-class InvalidEps(EngineError, ValueError):
-    """Neighborhood radius must be positive."""
-
-
 class LengthMismatch(EngineError, ValueError):
     """Parallel lists must have equal length."""
-
-
-# Scoring
-
-class EmptyCandidates(EngineError, ValueError):
-    """At least one candidate embedding is required."""
 
 
 class OutOfRangeArgument(EngineError, ValueError):
@@ -95,20 +81,6 @@ class InvalidArm(EngineError, IndexError):
 
 class UnknownStrategy(EngineError, ValueError):
     """Strategy name not one of ucb1, epsilon_greedy, thompson."""
-
-
-# Synthesis
-
-class MissingFrontOrBack(EngineError, ValueError):
-    """Front and back selections are both required."""
-
-
-class MissingView(EngineError, ValueError):
-    """A required view selection is absent."""
-
-
-class EmptyText(EngineError, ValueError):
-    """Text input must be non-empty."""
 
 
 # Gating

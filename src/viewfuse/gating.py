@@ -55,8 +55,6 @@ def gate(
     text_emb: EmbeddingVector, cloud_emb: EmbeddingVector, threshold: float
 ) -> dict:
     """The record's gating document: similarity >= threshold passes."""
-    if not 0.0 < threshold < 1.0:
-        raise OutOfRangeArgument(f"threshold must be in (0, 1), got {threshold!r}")
     sim = cosine_similarity(text_emb, cloud_emb)
     passed = sim >= threshold
     return {

@@ -401,8 +401,6 @@ def load_point_cloud(path: str | Path) -> PointCloud:
 
 def downsample(cloud: PointCloud, budget: int, seed: int) -> PointCloud:
     """Uniformly subsample to at most `budget` points, order-preserving."""
-    if budget <= 0:
-        raise ParseError(f"point budget must be positive, got {budget}")
     if cloud.count <= budget:
         return cloud
     rng = np.random.default_rng(seed)
@@ -478,6 +476,10 @@ def ingest_manifest(
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be an object")
+    try:  # json.loads reads NaN, Infinity and 1e400, which a record cannot hold
+        json.dumps(metadata, allow_nan=False)
+    except ValueError:
+        raise ParseError("metadata holds NaN or Infinity, which JSON cannot hold") from None
 
     return ObjectManifest(
         object_id=object_id,

@@ -527,8 +527,10 @@ def run_corpus(
     (manifests, clouds, providers and the output directory), `annotate`
     (waiting for the next record) and `write` (records and the flagged
     export). The HTTP providers' connections are closed when the
-    objects are done, on an error too.
+    objects are done, on an error too. `cfg` is validated first, so a
+    field changed after construction still raises ConfigError.
     """
+    cfg.validate()
     clock = PhaseClock("ingest", "annotate", "write")
     records_dir = Path(out_dir) / "records"
     try:  # before ingest, so a bad --out fails before any manifest is read

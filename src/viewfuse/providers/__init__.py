@@ -24,12 +24,6 @@ class GenerationConfig:
     temperature: float = 0.7
     num_candidates: int = 5
 
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.num_candidates < 1:
-            raise ValueError(f"num_candidates must be >= 1, got {self.num_candidates}")
-
 
 @dataclass(frozen=True)
 class ProviderRequest:

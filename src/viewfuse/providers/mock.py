@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import EmptyText
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, stable_seed
 from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
 from . import ProviderSet, cloud_digest, resolve_candidates
@@ -59,8 +58,6 @@ class ConceptSpace:
     """Shared geometry for all mocks: anchors and deterministic noise."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
-        if dim < 8:
-            raise ValueError(f"dim must be >= 8, got {dim}")
         self.dim = dim
 
     def _unit(self, key: str) -> np.ndarray:
@@ -99,8 +96,6 @@ class MockTextEmbedder(TextEmbedder):
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
         vectors = []
         for text in texts:
-            if not text:
-                raise EmptyText("cannot embed empty text")
             self.calls += 1
             lowered = text.lower()
             for slug, pattern in self._patterns.items():
@@ -123,8 +118,6 @@ class MockImageEmbedder(ImageEmbedder):
     def embed_images(self, image_refs: list[str]) -> list[EmbeddingVector]:
         vectors = []
         for image_ref in image_refs:
-            if not image_ref:
-                raise EmptyText("cannot embed empty image reference")
             self.calls += 1
             slug = concept_from_image_ref(image_ref)
             vectors.append(self.space.noisy_anchor(slug, f"image:{image_ref}", IMAGE_NOISE))
@@ -160,10 +153,6 @@ class MockCandidateGenerator(CandidateGenerator):
     def __init__(
         self, seed: int = 0, hallucination_rate: float = 0.15, missing_logprob_rate: float = 0.0
     ):
-        if not 0.0 <= hallucination_rate <= 1.0:
-            raise ValueError("hallucination_rate must be in [0, 1]")
-        if not 0.0 <= missing_logprob_rate <= 1.0:
-            raise ValueError("missing_logprob_rate must be in [0, 1]")
         self.seed = seed
         self.hallucination_rate = hallucination_rate
         self.missing_logprob_rate = missing_logprob_rate

@@ -9,16 +9,13 @@ is a convex blend of normalized confidence and that relevance weight.
 import math
 
 from .clustering import cosine_similarity
-from .errors import EmptyCandidates, OutOfRangeArgument
 from .model import EmbeddingVector
 
 
 def relevance_weights(
     image_emb: EmbeddingVector, text_embs: list[EmbeddingVector]
 ) -> tuple[float, ...]:
-    """Softmax over cosine(image, text_i) across the given candidates; sums to 1."""
-    if len(text_embs) == 0:
-        raise EmptyCandidates("at least one text embedding required")
+    """Softmax over cosine(image, text_i) across one or more candidates; sums to 1."""
     sims = [cosine_similarity(image_emb, t) for t in text_embs]
     peak = max(sims)
     exps = [math.exp(s - peak) for s in sims]
@@ -32,11 +29,4 @@ def composite_score(norm_conf: float, relevance: float, blend_ratio: float) -> f
     At blend 0 and 1 the formula gives the confidence and the relevance
     exactly, since both lie in [0, 1].
     """
-    for name, value, lo, hi in (
-        ("norm_conf", norm_conf, 0.0, 1.0),
-        ("relevance", relevance, 0.0, 1.0),
-        ("blend_ratio", blend_ratio, 0.0, 1.0),
-    ):
-        if not math.isfinite(value) or value < lo or value > hi:
-            raise OutOfRangeArgument(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return (1.0 - blend_ratio) * norm_conf + blend_ratio * relevance

@@ -6,10 +6,8 @@ the global description; the best of the remaining views supplies
 supplementary detail.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import EmptyText, MissingFrontOrBack, MissingView, OutOfRangeArgument
 from .model import SIDE_VIEWS, VIEW_ORDER, Viewpoint
 
 _TERMINATORS = ".!?"
@@ -23,23 +21,12 @@ class ViewSelection:
     text: str
     score: float
 
-    def __post_init__(self):
-        if not self.text:
-            raise EmptyText("selection text must be non-empty")
-        if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"selection score must be in [0, 1], got {self.score!r}")
-
 
 def prioritize_front_back(
     selections: list[ViewSelection], w_fb: float
 ) -> tuple[str, float]:
     """Front then back text, and w_fb times their mean score clamped to [0, 1]."""
-    if not math.isfinite(w_fb) or w_fb < 1.0:
-        raise OutOfRangeArgument(f"w_fb must be >= 1, got {w_fb!r}")
     by_view = {s.view: s for s in selections}
-    missing = [v.value for v in (Viewpoint.FRONT, Viewpoint.BACK) if v not in by_view]
-    if missing:
-        raise MissingFrontOrBack(f"missing selections: {', '.join(missing)}")
     front, back = by_view[Viewpoint.FRONT], by_view[Viewpoint.BACK]
     raw = w_fb * (front.score + back.score) / 2.0
     return f"{front.text} {back.text}", min(1.0, max(0.0, raw))
@@ -53,8 +40,6 @@ def extract_core_sentence(text: str) -> str:
     initial such as "J.") does not end the sentence. Text without any
     terminator is returned whole.
     """
-    if not text:
-        raise EmptyText("text must be non-empty")
     for i, ch in enumerate(text):
         if ch not in _TERMINATORS:
             continue
@@ -81,10 +66,6 @@ def assemble_global(selections: list[ViewSelection], w_fb: float) -> dict:
     VIEW_ORDER, are kept in the document so it can be replayed.
     """
     by_view = {s.view: s for s in selections}
-    missing = [v.value for v in VIEW_ORDER if v not in by_view]
-    if missing:
-        raise MissingView(f"missing selections: {', '.join(missing)}")
-
     fb_text, fb_score = prioritize_front_back(selections, w_fb)
     core = extract_core_sentence(fb_text).strip()
 

@@ -160,12 +160,6 @@ def test_epsilon_greedy_deterministic_given_rng_seed():
     assert a == b
 
 
-def test_epsilon_out_of_range_rejected():
-    state = BanditState(arm_count=2)
-    with pytest.raises(ValueError):
-        epsilon_greedy_select(state, 1.5, random.Random(0))
-
-
 def test_thompson_strongly_separated_posteriors():
     state = ThompsonState(arm_count=2)
     state.successes = [100.0, 1.0]

@@ -93,6 +93,24 @@ def test_threshold_sweep_non_finite_bound_exit_2(capsys, bounds):
     assert "must be finite" in err
 
 
+BAD_OUT_PATHS = {
+    "missing-parent": (lambda tmp_path: tmp_path / "no-such-dir" / "out.csv", "No such file or directory"),
+    "directory": (lambda tmp_path: tmp_path, "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OUT_PATHS)
+def test_threshold_sweep_bad_out_path_exit_2(capsys, tmp_path, case):
+    path_of, reason = BAD_OUT_PATHS[case]
+    out_path = path_of(tmp_path)
+    code, out, err = run(
+        capsys, "threshold", "sweep", "--from", "0.5", "--to", "0.52", "--step", "0.01",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {out_path}: {reason}\n"
+
+
 @pytest.fixture
 def counted_error_rates(monkeypatch):
     """Replaces the sweep's error_rates with a constant one that raises
@@ -153,6 +171,48 @@ def test_bandit_simulate_csv_and_summary(capsys, tmp_path):
     assert lines[0].startswith("strategy,seed,rounds,")
     assert len(lines) == 5
     assert "ucb1" in err and "thompson" in err
+
+
+def test_bandit_simulate_out_file_matches_stdout(capsys, tmp_path):
+    env_file = tmp_path / "env.json"
+    env_file.write_text("[0.9, 0.4]")
+    argv = ["bandit", "simulate", "--env", str(env_file), "--seeds", "0,1", "--rounds", "200"]
+    code, stdout_csv, _ = run(capsys, *argv)
+    assert code == 0
+    out_file = tmp_path / "sim.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (0, "")
+    assert out_file.read_text(encoding="utf-8") == stdout_csv
+    assert "ucb1: mean_reward=" in err
+
+
+@pytest.mark.parametrize("case", BAD_OUT_PATHS)
+def test_bandit_simulate_bad_out_path_exit_2(capsys, tmp_path, case):
+    path_of, reason = BAD_OUT_PATHS[case]
+    out_path = path_of(tmp_path)
+    env_file = tmp_path / "env.json"
+    env_file.write_text("[0.5, 0.6]")
+    code, out, err = run(
+        capsys, "bandit", "simulate", "--env", str(env_file), "--rounds", "10",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {out_path}: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--strategies", ",", "--strategies"), ("--seeds", "a,b", "'a,b'"), ("--seeds", ",", "--seeds")],
+    ids=["no-strategy", "seeds-not-integers", "no-seed"],
+)
+def test_bandit_simulate_bad_list_exit_2(capsys, tmp_path, flag, value, named):
+    env_file = tmp_path / "env.json"
+    env_file.write_text("[0.5, 0.6]")
+    code, out, err = run(
+        capsys, "bandit", "simulate", "--env", str(env_file), "--rounds", "10", flag, value,
+    )
+    assert (code, out) == (2, "")
+    assert named in err
 
 
 def test_bandit_simulate_unknown_strategy_exit_2(capsys, tmp_path):
@@ -287,6 +347,33 @@ def test_annotate_seed_override_changes_outputs(capsys, tmp_path):
 
     assert record_bytes(1, "a") != record_bytes(2, "b")
     assert record_bytes(1, "c") == record_bytes(1, "a")
+
+
+def test_annotate_workers_override(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rounds": 20}))
+    run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "3")
+
+    def annotate(workers):
+        out_dir = tmp_path / f"out-{workers}"
+        code, out, err = run(
+            capsys, "annotate", "--corpus", str(corpus), "--config", str(config), "--mock",
+            "--workers", str(workers), "--out", str(out_dir),
+        )
+        return code, out, err, out_dir
+
+    code, out, err, out_dir = annotate(0)
+    assert (code, out, err) == (2, "", "error: workers must be >= 1\n")
+    assert not out_dir.exists()
+    records = {}
+    for workers in (1, 2):
+        code, out, _, out_dir = annotate(workers)
+        assert code == 0
+        assert json.loads(out)["config"]["workers"] == workers
+        records[workers] = {p.name: p.read_bytes() for p in (out_dir / "records").iterdir()}
+    assert len(records[1]) == 3
+    assert records[2] == records[1]
 
 
 HTTP_PROVIDER = {"endpoint": "http://127.0.0.1:9/v1", "request_template": {"input": "{text}"}}

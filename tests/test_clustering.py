@@ -12,8 +12,6 @@ from viewfuse.clustering import (
 )
 from viewfuse.errors import (
     DimensionMismatch,
-    EmptyInput,
-    InvalidEps,
     LengthMismatch,
     ZeroNormVector,
 )
@@ -83,15 +81,6 @@ def test_cosine_dimension_mismatch(mk):
 def test_cosine_zero_vector_rejected(mk):
     with pytest.raises(ZeroNormVector):
         cosine_similarity(mk(0, 0), mk(1, 0))
-
-
-def test_dbscan_validation(mk):
-    with pytest.raises(EmptyInput):
-        dbscan_cluster([], 0.1, 2)
-    with pytest.raises(InvalidEps):
-        dbscan_cluster([mk(1, 0)], 0.0, 2)
-    with pytest.raises(InvalidEps):
-        dbscan_cluster([mk(1, 0)], 0.1, 0)
 
 
 def test_dbscan_single_point_is_noise(mk):

@@ -8,7 +8,7 @@ from viewfuse.confidence import (
     compute_raw_confidence,
     normalize_confidence,
 )
-from viewfuse.errors import EmptyTokenList, NegativeRaw, NonFiniteLogprob
+from viewfuse.errors import EmptyTokenList, NonFiniteLogprob
 
 
 def test_raw_is_mean_absolute_logprob():
@@ -44,11 +44,6 @@ def test_normalize_is_exp_of_negated_raw():
     assert normalize_confidence(0.0) == 1.0
     assert normalize_confidence(1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
     assert normalize_confidence(math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_normalize_rejects_negative_raw():
-    with pytest.raises(NegativeRaw):
-        normalize_confidence(-0.1)
 
 
 logprob_lists = st.lists(

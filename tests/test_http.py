@@ -315,6 +315,13 @@ def test_embedder_happy_path():
     assert session.requests[0]["json"]["input"] == "a mug"
 
 
+def test_list_valued_request_template_sends_a_list():
+    session = FakeSession(emb_response([0.1, 0.2, 0.3]))
+    cfg = HttpProviderConfig(endpoint=EMB_CONFIG.endpoint, request_template={"input": ["{text}"]})
+    HttpEmbedder(cfg, session=session, sleep=lambda s: None).embed_text("a mug")
+    assert session.requests[0]["json"] == {"input": ["a mug"]}
+
+
 def test_embedder_dimension_contract():
     session = FakeSession(emb_response([0.1, 0.2]), emb_response([0.1, 0.2, 0.3]))
     emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)

@@ -20,7 +20,7 @@ import viewfuse.pipeline as pipeline
 from viewfuse.confidence import compute_raw_confidence
 from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig
 from viewfuse.demo import build_demo_corpus
-from viewfuse.errors import ConfigError
+from viewfuse.errors import ConfigError, MalformedProviderResponse
 from viewfuse.gating import gate
 from viewfuse.model import (
     MAX_OBJECT_ID_BYTES,
@@ -563,6 +563,88 @@ def test_lone_surrogate_in_a_manifest_fails_only_its_object(tmp_path, edit, fiel
     assert failed["error"] == f"ParseError: {field} holds a string that cannot be encoded as UTF-8"
 
 
+# json.loads reads these; each was copied into the record as a bare
+# NaN or Infinity, which is not JSON.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_in_manifest_metadata_fails_only_its_object(tmp_path, value):
+    corpus_dir = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    build_demo_corpus(corpus_dir, num_objects=3, seed=0)
+    _edit_obj_001(lambda doc: doc["metadata"].update(stats={"big": [1, value]}))(corpus_dir)
+
+    summary = run_corpus(corpus_dir, PipelineConfig(seed=42), mock=True, out_dir=out_dir)
+
+    assert (summary["objects"], summary["ok"], summary["failed"]) == (3, 2, 1)
+    names = sorted(p.name for p in (out_dir / "records").iterdir())
+    assert names == ["@obj_001.json", "obj_000.json", "obj_002.json"]
+
+    def reject(constant):
+        raise AssertionError(f"record holds {constant}")
+
+    for path in (out_dir / "records").iterdir():
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    failed = json.loads((out_dir / "records" / "@obj_001.json").read_text(encoding="utf-8"))
+    assert failed["error"] == "ParseError: metadata holds NaN or Infinity, which JSON cannot hold"
+
+
+class FailingImageEmbedder:
+    """Embeds images with `inner`, except that one object's views fail."""
+
+    def __init__(self, inner, object_id):
+        self.inner = inner
+        self.object_id = object_id
+        self.model_id = inner.model_id
+
+    def embed_images(self, image_refs):
+        if any(f"__{self.object_id}__" in ref for ref in image_refs):
+            raise MalformedProviderResponse("embedding reply has no data")
+        return self.inner.embed_images(image_refs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_provider_error_partway_through_an_object_fails_only_that_object(tmp_path, monkeypatch, workers):
+    corpus_dir = tmp_path / "corpus"
+    build_demo_corpus(corpus_dir, num_objects=4, seed=0)
+    cfg = PipelineConfig(seed=42, workers=workers)
+    clean = run_corpus(corpus_dir, cfg, mock=True, out_dir=tmp_path / "clean")
+    generated = []
+
+    def failing_providers(seed, truth):
+        providers = build_mock_providers(seed=seed, truth=truth)
+        generate_views = providers.generator.generate_views
+
+        def spy(items, gen_cfg):
+            generated.extend(ref for _, ref in items)
+            return generate_views(items, gen_cfg)
+
+        providers.generator.generate_views = spy
+        return replace(providers, image_embedder=FailingImageEmbedder(providers.image_embedder, "obj_001"))
+
+    monkeypatch.setattr(pipeline, "build_mock_providers", failing_providers)
+    summary = run_corpus(corpus_dir, cfg, mock=True, out_dir=tmp_path / "failing")
+
+    assert (clean["failed"], summary["objects"], summary["ok"], summary["failed"]) == (0, 4, 3, 1)
+    # the object failed after its generation wave, in the image wave
+    assert sum("__obj_001__" in ref for ref in generated) == len(VIEW_ORDER)
+    clean_dir, failing_dir = tmp_path / "clean" / "records", tmp_path / "failing" / "records"
+    names = sorted(p.name for p in clean_dir.iterdir())
+    assert sorted(p.name for p in failing_dir.iterdir()) == names
+    for name in names:
+        if name != "obj_001.json":
+            assert (failing_dir / name).read_bytes() == (clean_dir / name).read_bytes()
+    failed = json.loads((failing_dir / "obj_001.json").read_bytes())
+    assert failed == {
+        "schema_version": pipeline.RECORD_SCHEMA_VERSION,
+        "object_id": "obj_001",
+        "status": "failed",
+        "error": "MalformedProviderResponse: embedding reply has no data",
+        "metadata": json.loads((clean_dir / "obj_001.json").read_bytes())["metadata"],
+        "views": None,
+        "global": None,
+        "gating": None,
+    }
+
+
 def test_over_long_failure_keys_are_cut_and_told_apart(tmp_path):
     # 245- and 250-byte names whose stems share their first 240 bytes,
     # and a 245-byte name of two-byte characters
@@ -824,6 +906,24 @@ def test_build_providers_http_mode_checks_each_field_type(monkeypatch, field, va
     assert "sk-secret" not in str(err.value)
     if field == "api_key_env":  # the variable is named instead
         assert repr(value) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("workers", 0, "workers must be >= 1"),
+        ("workers", "2", "workers must be an integer"),
+        ("eps", math.nan, "eps must be in"),
+        ("providers", [], "providers must be an object"),
+    ],
+    ids=["workers-zero", "workers-string", "eps-nan", "providers-list"],
+)
+def test_run_corpus_checks_a_config_changed_after_construction(corpus, tmp_path, field, value, message):
+    cfg = PipelineConfig()
+    setattr(cfg, field, value)
+    with pytest.raises(ConfigError, match=message):
+        run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_corpus_dir_rejected(tmp_path):

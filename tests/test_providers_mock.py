@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewfuse.clustering import cosine_similarity
-from viewfuse.errors import EmptyText, MissingLogprobs, ParseError
+from viewfuse.errors import MissingLogprobs, ParseError
 from viewfuse.model import PointCloud, Viewpoint
 from viewfuse.providers import (
     GenerationConfig,
@@ -86,12 +86,6 @@ def test_batches_equal_the_per_item_map_and_count_per_item():
     for slot in ("generator", "text_embedder", "image_embedder"):
         assert getattr(batched, slot).calls == getattr(single, slot).calls > 0
     assert batched.text_embedder.embed_texts([]) == []
-
-
-def test_text_embedder_rejects_empty():
-    emb = MockTextEmbedder(ConceptSpace(dim=16))
-    with pytest.raises(EmptyText):
-        emb.embed_text("")
 
 
 def test_image_and_text_embeddings_share_concept_geometry():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from viewfuse.config import STRATEGIES
-from viewfuse.errors import EmptyInput, OutOfRangeArgument, UnknownStrategy
+from viewfuse.errors import ConfigError, EmptyInput, OutOfRangeArgument, UnknownStrategy
 from viewfuse.simulate import (
     BernoulliEnv,
     load_environment,
@@ -65,11 +65,12 @@ def test_environment_stream_is_shared_across_strategies():
 
 
 def test_unknown_strategy_rejected():
+    # each run's PipelineConfig is the check
     env = BernoulliEnv((0.5, 0.6))
-    with pytest.raises(UnknownStrategy):
+    with pytest.raises(ConfigError, match="strategy"):
         simulate_strategies(env, ["ucb1", "sarsa"], seeds=[0], rounds=10)
-    with pytest.raises(EmptyInput):
-        simulate_strategies(env, [], seeds=[0], rounds=10)
+    with pytest.raises(ConfigError, match="rounds"):
+        run_strategy(env, "ucb1", seed=0, rounds=0)
 
 
 def test_csv_shape_and_determinism():

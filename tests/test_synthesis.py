@@ -1,6 +1,5 @@
 import pytest
 
-from viewfuse.errors import EmptyText, MissingFrontOrBack, MissingView, OutOfRangeArgument
 from viewfuse.model import Viewpoint
 from viewfuse.synthesis import (
     ViewSelection,
@@ -36,17 +35,6 @@ def test_front_back_score_clamped():
     assert score == 1.0  # 1.2 * 0.9 = 1.08 before clamping
 
 
-def test_front_back_weight_must_be_at_least_one():
-    with pytest.raises(OutOfRangeArgument):
-        prioritize_front_back(full_set(), w_fb=0.9)
-
-
-def test_front_back_missing_view_rejected():
-    missing = [s for s in full_set() if s.view is not Viewpoint.BACK]
-    with pytest.raises(MissingFrontOrBack):
-        prioritize_front_back(missing, w_fb=1.2)
-
-
 def test_core_sentence_simple():
     assert extract_core_sentence("A red mug. It has a handle.") == "A red mug."
 
@@ -74,11 +62,6 @@ def test_core_sentence_without_terminator_returns_whole_text():
 
 def test_core_sentence_terminator_at_end_of_text():
     assert extract_core_sentence("Just one sentence.") == "Just one sentence."
-
-
-def test_core_sentence_empty_rejected():
-    with pytest.raises(EmptyText):
-        extract_core_sentence("")
 
 
 def test_assemble_global_structure():
@@ -115,22 +98,9 @@ def test_assemble_global_full_tie_takes_view_order():
     assert ga["supplementary"] == "Same length AA."
 
 
-def test_assemble_global_missing_side_view_rejected():
-    selections = [s for s in full_set() if s.view is not Viewpoint.TOP]
-    with pytest.raises(MissingView):
-        assemble_global(selections, w_fb=1.2)
-
-
 def test_assemble_global_strips_core_before_joining():
     selections = full_set()
     selections[0] = sel(Viewpoint.FRONT, "A blue kettle.   Trailing detail.", 0.8)
     ga = assemble_global(selections, w_fb=1.2)
     assert ga["core_sentence"] == "A blue kettle."
     assert "  " not in ga["full_text"]
-
-
-def test_view_selection_validation():
-    with pytest.raises(EmptyText):
-        sel(Viewpoint.FRONT, "", 0.5)
-    with pytest.raises(ValueError):
-        sel(Viewpoint.FRONT, "ok", 1.5)
