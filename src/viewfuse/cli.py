@@ -21,7 +21,8 @@ from pathlib import Path
 from .config import STRATEGIES, PipelineConfig
 from .cost import estimate_cost
 from .demo import build_demo_corpus
-from .errors import ConfigError, EngineError, ParseError
+from .errors import ConfigError, DegenerateParams, EngineError, NegativePrice, OutOfRangeArgument
+from .errors import ParseError
 from .gating import (
     TruncatedGaussianPair,
     density_crossing_coefficients,
@@ -249,12 +250,15 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_demo_corpus(args) -> int:
-    result = build_demo_corpus(
-        args.out,
-        num_objects=args.objects,
-        seed=args.seed,
-        mismatched=_parse_int_list(args.mismatched),
-    )
+    try:
+        result = build_demo_corpus(
+            args.out,
+            num_objects=args.objects,
+            seed=args.seed,
+            mismatched=_parse_int_list(args.mismatched),
+        )
+    except OSError as e:
+        raise ConfigError(f"cannot write {args.out}: {e.strerror or e}") from None
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0
 
@@ -276,7 +280,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo-corpus":
             return _cmd_demo_corpus(args)
         parser.error(f"unknown command {args.command!r}")
-    except ConfigError as e:
+    # the last three come only from argument values (cost, demo-corpus, the threshold tools)
+    except (ConfigError, NegativePrice, OutOfRangeArgument, DegenerateParams) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except EngineError as e:

@@ -9,11 +9,6 @@ a unique-but-correct description always survives deduplication.
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    LengthMismatch,
-    ZeroNormVector,
-)
 from .model import EmbeddingVector
 
 # Cluster id assigned to points that are not density-reachable from any core.
@@ -21,23 +16,15 @@ NOISE = -1
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
+    """Cosine of two vectors of one dimension."""
     va, vb = a.values, b.values
     na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormVector("cosine similarity undefined for a zero vector")
     return float(np.dot(va, vb) / (na * nb))
 
 
 def _cosine_distance_matrix(embeddings: list[EmbeddingVector]) -> np.ndarray:
-    dims = {e.dim for e in embeddings}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"embeddings have mixed dims: {sorted(dims)}")
     mat = np.stack([e.values for e in embeddings])
     norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroNormVector("cosine distance undefined for a zero vector")
     unit = mat / norms[:, None]
     sim = unit @ unit.T
     # numeric noise can push self-similarity past 1
@@ -55,7 +42,8 @@ def dbscan_cluster(
     so the labeling is deterministic: cluster ids increase with the
     index of their first core point, and a border point reachable from
     several clusters joins the earliest one. It takes one or more
-    embeddings, `eps` > 0 and `min_pts` >= 1, as PipelineConfig holds them.
+    embeddings of one dimension, `eps` > 0 and `min_pts` >= 1, as
+    PipelineConfig holds them.
     """
     n = len(embeddings)
     dist = _cosine_distance_matrix(embeddings)
@@ -96,10 +84,9 @@ def select_canonical(labels: list[int], scores: list[float]) -> tuple[int, ...]:
     """The indices of the argmax-by-score representative of each cluster
     and of each noise point, ascending.
 
-    Ties break toward the lowest candidate index.
+    Ties break toward the lowest candidate index; `scores` is parallel
+    to `labels`.
     """
-    if len(labels) != len(scores):
-        raise LengthMismatch(f"{len(labels)} labels vs {len(scores)} scores")
     best: dict[int, int] = {}  # cluster_id -> candidate index
     reps: list[int] = []
     for i, label in enumerate(labels):

@@ -107,10 +107,6 @@ class MissingLogprobs(EngineError, RuntimeError):
     """Provider cannot supply token logprobs for a candidate."""
 
 
-class DimensionContractViolation(EngineError, RuntimeError):
-    """Embedding provider returned a vector of unexpected dimension."""
-
-
 class CacheCorruption(EngineError, RuntimeError):
     """Cache entry exists but cannot be decoded."""
 

@@ -19,7 +19,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import EmptyPointCloud, MissingViewpoint, ParseError
+from .errors import EmptyPointCloud, MissingViewpoint, ParseError, ZeroNormVector
 
 DEFAULT_POINT_BUDGET = 10_000
 # leads the key of every record made for a manifest that was not
@@ -97,6 +97,8 @@ def parse_json(data: bytes, what: str):
         raise ParseError(f"{what} is not valid JSON: {e.msg}", offset=offset) from None
     except ValueError as e:  # an integer literal longer than int() takes
         raise ParseError(f"{what} holds a number that cannot be read: {e}") from None
+    except RecursionError:
+        raise ParseError(f"{what} is nested too deeply") from None
 
 
 class Viewpoint(enum.Enum):
@@ -177,7 +179,7 @@ class PointCloud:
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
     """Fixed-length real vector from an embedding provider, held as a
-    read-only float64 copy of the array-like it is built from."""
+    read-only float64 copy of the array-like it is built from; finite, not all zero."""
 
     values: np.ndarray
 
@@ -190,6 +192,8 @@ class EmbeddingVector:
             raise ParseError(f"embedding must be a non-empty 1-D vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ParseError("embedding contains a non-finite component")
+        if not arr.any():
+            raise ZeroNormVector("an all-zero embedding has no direction to compare")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -415,9 +419,15 @@ def ingest_manifest(
     """Parse, validate, and load one object manifest.
 
     Relative point-cloud paths resolve against the manifest's directory.
-    A file that cannot be read or decoded raises ParseError.
+    A file that cannot be read, decoded or re-encoded raises ParseError.
     """
-    path = Path(path)
+    try:
+        return _ingest_manifest(Path(path), point_budget, seed)
+    except RecursionError:
+        raise ParseError("manifest is nested too deeply") from None
+
+
+def _ingest_manifest(path: Path, point_budget: int, seed: int) -> ObjectManifest:
     doc = parse_json(read_bytes(path, "manifest"), "manifest")
     if not isinstance(doc, dict):
         raise ParseError("manifest root must be a JSON object")

@@ -39,7 +39,8 @@ from .bandit import (
 from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
 from .config import PROVIDER_ROLES, PipelineConfig, typed_fields
-from .errors import ConfigError, DuplicateObjectId, EngineError, ParseError
+from .errors import ConfigError, DimensionMismatch, DuplicateObjectId, EngineError, LengthMismatch
+from .errors import ParseError
 from .gating import flagged_record, gate
 from .model import FAILURE_KEY_PREFIX, MAX_OBJECT_ID_BYTES, VIEW_ORDER, ObjectManifest, Viewpoint
 from .model import CandidateDescription, EmbeddingVector
@@ -219,11 +220,19 @@ def aggregate_object(
     return record
 
 
+def _check_dims(embeddings: list[EmbeddingVector]) -> None:
+    """DimensionMismatch unless every embedding has one dimension."""
+    dims = sorted({e.dim for e in embeddings})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"embeddings compared with each other have dims {dims}")
+
+
 def annotate_object(
     manifest: ObjectManifest, cfg: PipelineConfig, providers: ProviderSet
 ) -> AnnotationRecord:
     """One object's provider waves around `aggregate_object`, then the
-    gate; failures become a failed record."""
+    gate; failures become a failed record. Checks, once, that each batch
+    holds one result per item and that compared vectors share a dimension."""
     gen_cfg = GenerationConfig(
         temperature=cfg.temperature, num_candidates=cfg.num_candidates
     )
@@ -232,11 +241,19 @@ def annotate_object(
         candidates = providers.generator.generate_views(list(zip(VIEW_ORDER, image_refs)), gen_cfg)
         # one call per role for all views; aggregate_object splits them per view
         image_embs = providers.image_embedder.embed_images(image_refs)
-        text_embs = providers.text_embedder.embed_texts([c.text for cs in candidates for c in cs])
+        texts = [c.text for cs in candidates for c in cs]
+        text_embs = providers.text_embedder.embed_texts(texts)
+        counts = (len(candidates), len(image_embs), len(text_embs))
+        if counts != (len(VIEW_ORDER), len(VIEW_ORDER), len(texts)):
+            raise LengthMismatch(
+                f"(candidate lists, image embeddings, text embeddings) are {counts}"
+            )
+        _check_dims(image_embs + text_embs)
         record = aggregate_object(manifest, cfg, candidates, image_embs, text_embs)
 
         text_emb = providers.text_embedder.embed_text(record.global_annotation["full_text"])
         cloud_emb = providers.cloud_embedder.embed_cloud(manifest.point_cloud)
+        _check_dims([text_emb, cloud_emb])
         record.gating = gate(text_emb, cloud_emb, cfg.gate_threshold)
     except EngineError as e:
         logger.warning("object %s failed: %s", manifest.object_id, e)

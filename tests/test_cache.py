@@ -287,6 +287,8 @@ DAMAGES = {
     "nested-values": ("embed_text", lambda doc: {"values": [doc["values"]]}),
     "null-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [None]}),
     "empty-values": ("embed_cloud", lambda doc: {"values": []}),
+    # a vector, but one without a direction to compare
+    "zero-values": ("embed_image", lambda doc: {"values": [0.0] * len(doc["values"])}),
     "renamed-list": ("generate_candidates", lambda doc: {"choices": doc["candidates"]}),
     "string-list": ("generate_candidates", lambda doc: {"candidates": "ab"}),
     "missing-fields": ("generate_candidates", lambda doc: {"candidates": [{"view": "front"}]}),

@@ -39,14 +39,63 @@ def test_threshold_solve_reports_root_and_diagnostics(capsys):
     assert doc["kl_divergence"] > 0
 
 
-def test_threshold_solve_degenerate_params_runtime_error(capsys):
-    code, _, err = run(
+def test_threshold_solve_output_is_strict_json_for_separated_populations(capsys):
+    # 0 * log(0 / q) made the divergence NaN, which JSON cannot hold
+    code, out, _ = run(
         capsys, "threshold", "solve",
-        "--mu-pos", "0.5", "--mu-neg", "0.5",
-        "--sigma-pos", "0.1", "--sigma-neg", "0.1",
+        "--mu-pos", "0.95", "--mu-neg", "0.9",
+        "--sigma-pos", "0.01", "--sigma-neg", "0.3",
     )
-    assert code == 1
-    assert err.strip()
+
+    def reject(constant):
+        raise AssertionError(f"stdout holds {constant}")
+
+    assert code == 0
+    assert json.loads(out, parse_constant=reject)["kl_divergence"] == pytest.approx(2.4524, abs=1e-4)
+
+
+GAUSSIANS = ("--mu-pos", "0.65", "--mu-neg", "0.35", "--sigma-pos", "0.1", "--sigma-neg", "0.15")
+PRICES = ("--price-image", "0.001", "--price-in", "0.5", "--price-out", "1.0")
+SWEEP = ("threshold", "sweep", "--from", "0.4", "--to", "0.7", "--step", "0.01")
+
+# (argv, with {tmp} for the test's directory; the error it prints)
+BAD_ARGUMENT_VALUES = {
+    "cost-negative-objects": (("cost", "--objects", "-1", *PRICES), "num_objects must be >= 0, got -1"),
+    "cost-nan-price": (
+        ("cost", "--objects", "1", *PRICES, "--price-image", "nan"),
+        "price_image must be finite and >= 0, got nan",
+    ),
+    "demo-no-objects": (("demo-corpus", "--out", "{tmp}/corpus", "--objects", "0"), "num_objects must be >= 1"),
+    "demo-mismatched-beyond-objects": (
+        ("demo-corpus", "--out", "{tmp}/corpus", "--objects", "2", "--mismatched", "5"),
+        "mismatched index 5 outside 0..1",
+    ),
+    "demo-out-under-a-file": (
+        ("demo-corpus", "--out", "{tmp}/file/corpus", "--objects", "1"),
+        "cannot write {tmp}/file/corpus: Not a directory",
+    ),
+    "solve-equal-means": (
+        ("threshold", "solve", *GAUSSIANS, "--mu-neg", "0.65"),
+        "mu_pos (0.65) must exceed mu_neg (0.65)",
+    ),
+    "solve-zero-sigma": (("threshold", "solve", *GAUSSIANS, "--sigma-pos", "0"), "sigmas must be positive"),
+    "solve-nan-sigma": (("threshold", "solve", *GAUSSIANS, "--sigma-neg", "nan"), "sigma_neg must be finite"),
+    "sweep-zero-sigma": ((*SWEEP, "--sigma-pos", "0"), "sigmas must be positive"),
+    "sweep-nan-sigma": ((*SWEEP, "--sigma-neg", "nan"), "sigma_neg must be finite"),
+    "sweep-means-reversed": ((*SWEEP, "--mu-pos", "0.2"), "mu_pos (0.2) must exceed mu_neg (0.35)"),
+    "sweep-zero-step": ((*SWEEP, "--step", "0"), "--step must be positive"),
+    "sweep-to-below-from": ((*SWEEP, "--to", "0.3"), "--to must be >= --from"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENT_VALUES)
+def test_bad_argument_values_exit_2(capsys, tmp_path, case):
+    argv, message = BAD_ARGUMENT_VALUES[case]
+    (tmp_path / "file").write_text("a plain file where a directory must go")
+    code, out, err = run(capsys, *(arg.replace("{tmp}", str(tmp_path)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_threshold_sweep_writes_csv_and_reports_minimum(capsys, tmp_path):
@@ -455,6 +504,16 @@ def test_annotate_out_that_is_a_file_exit_2_before_ingest(capsys, monkeypatch, t
     assert err.startswith(f"error: cannot make output directory {out_file / 'records'}: ")
     assert ingested == []
     assert out_file.read_text() == "a plain file where the output directory must go"
+
+
+def test_annotate_deep_config_exit_2(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(
+        capsys, "annotate", "--corpus", str(tmp_path), "--config", str(config), "--mock",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: config file {config} is nested too deeply\n"
 
 
 def test_annotate_non_utf8_config_exit_2(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -61,6 +62,9 @@ def test_unknown_keys_rejected():
         {"w_fb": 0.5},
         {"point_budget": 0},
         {"workers": 0},
+        # no range bounds these from above, so the finiteness check does
+        {"exploration_weight": math.inf},
+        {"temperature": math.inf},
     ],
 )
 def test_out_of_range_values_rejected(doc):
@@ -78,6 +82,7 @@ def test_out_of_range_values_rejected(doc):
         {"seed": 1.5},
         {"providers": []},
         {"cache_dir": 5},
+        [],  # the root itself
     ],
 )
 def test_wrong_types_rejected(doc):

@@ -103,6 +103,22 @@ def test_solver_midpoint_outside_unit_interval_rejected():
         solve_optimal_threshold(1.9, 0.5, 0.2, 0.2)
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        # both crossings hug the narrow density at 5, neither between the means
+        ((5.0, 4.99, 0.01, 1.0), r"^no crossing in \(0, 1\); roots \[4\.96"),
+        # two nearly equal densities, whose discriminant rounds below zero
+        ((1.0665871335895378, 1.0665871335874715, 1.6899676254318822e-08, 1.6899675591048538e-08),
+         "^density curves do not cross$"),
+    ],
+    ids=["both-roots-outside", "negative-discriminant"],
+)
+def test_solver_without_a_crossing_in_the_unit_interval_rejected(params, message):
+    with pytest.raises(NoRootInUnitInterval, match=message):
+        solve_optimal_threshold(*params)
+
+
 def test_solver_random_parameters_equalize_densities_in_unit_interval():
     # close means with similar sigmas can push both crossings outside
     # the between-means gap, so only density equality and the (0, 1)
@@ -175,6 +191,13 @@ def test_kl_divergence_nonnegative_and_zero_on_self():
     # make the two components nearly identical: divergence collapses
     near = TruncatedGaussianPair(0.500001, 0.5, 0.1, 0.100001)
     assert kl_divergence(near) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_kl_divergence_of_well_separated_populations_is_the_closed_form():
+    # both masses lie inside [0, 1], where KL of N(0.9, s) from N(0.1, s)
+    # is (0.9 - 0.1)^2 / (2 s^2); p underflows to 0 over most of the grid
+    separated = TruncatedGaussianPair(0.9, 0.1, 0.01, 0.01)
+    assert kl_divergence(separated) == pytest.approx(3200.0, rel=1e-12)
 
 
 def test_kl_divergence_point_count_floor():

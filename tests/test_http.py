@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 from viewfuse.errors import (
-    DimensionContractViolation,
     MalformedProviderResponse,
     MissingLogprobs,
     ProviderUnavailable,
+    ZeroNormVector,
 )
 from viewfuse.model import Viewpoint
 from viewfuse.providers import GenerationConfig
@@ -322,12 +322,18 @@ def test_list_valued_request_template_sends_a_list():
     assert session.requests[0]["json"] == {"input": ["a mug"]}
 
 
-def test_embedder_dimension_contract():
+def test_embedder_replies_of_two_dimensions_both_decode():
+    # dimensions are compared per object, by the pipeline, not per endpoint
     session = FakeSession(emb_response([0.1, 0.2]), emb_response([0.1, 0.2, 0.3]))
     emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
-    emb.embed_text("first call fixes the dim")
-    with pytest.raises(DimensionContractViolation):
-        emb.embed_text("second must match")
+    assert [emb.embed_text("a").dim, emb.embed_text("b").dim] == [2, 3]
+
+
+def test_embedder_zero_vector_rejected():
+    session = FakeSession(emb_response([0.0, 0.0, -0.0]))
+    emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
+    with pytest.raises(ZeroNormVector):
+        emb.embed_text("x")
 
 
 @pytest.mark.parametrize("entry", [None, "abc", [0.2], "0.5", True, pytest.param(10**400, id="beyond-float")])
@@ -448,66 +454,6 @@ def test_batch_raises_the_first_failing_item_in_input_order(case):
     emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
     with pytest.raises(expected):
         emb.embed_texts(TEXTS)
-
-
-def test_batch_reports_the_first_wrong_dimension_in_input_order():
-    dims = {t: 3 for t in TEXTS}
-    dims["text 4"] = 2
-    dims["text 11"] = 5
-    session = KeyedSession(
-        {t: emb_response([0.5] * d) for t, d in dims.items()},
-        delay=lambda key: 0.02 if key == "text 4" else 0.0,
-    )
-    emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
-    with pytest.raises(DimensionContractViolation, match="dim 2 != contracted 3"):
-        emb.embed_texts(TEXTS)
-
-
-class RacingEmbedder(HttpEmbedder):
-    """Each read of a dimension that is still unset waits until a second
-    thread reads it too (or 0.5 s pass), so two first replies overlap."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.both_read = threading.Barrier(2, timeout=0.5)
-        self._dim = None
-
-    @property
-    def expected_dim(self):
-        dim = self._dim
-        if dim is None:
-            try:
-                self.both_read.wait()
-            except threading.BrokenBarrierError:
-                pass
-        return dim
-
-    @expected_dim.setter
-    def expected_dim(self, value):
-        self._dim = value
-
-
-def test_first_replies_of_two_dimensions_cannot_both_fix_the_contract():
-    session = KeyedSession({"a": emb_response([0.5] * 3), "b": emb_response([0.5] * 4)})
-    emb = RacingEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
-    outcomes = {}
-
-    def embed(text):
-        try:
-            outcomes[text] = emb.embed_text(text).dim
-        except DimensionContractViolation as e:
-            outcomes[text] = e
-
-    threads = [threading.Thread(target=embed, args=(text,)) for text in ("a", "b")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=5)
-        assert not t.is_alive()
-    violations = [v for v in outcomes.values() if isinstance(v, DimensionContractViolation)]
-    dims = [v for v in outcomes.values() if isinstance(v, int)]
-    assert len(violations) == 1 and len(dims) == 1
-    assert emb.expected_dim == dims[0]
 
 
 class Loopback(ThreadingHTTPServer):

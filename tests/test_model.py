@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewfuse.errors import EmptyPointCloud, MissingViewpoint, ParseError
+import viewfuse.model as model
+from viewfuse.errors import EmptyPointCloud, MissingViewpoint, ParseError, ZeroNormVector
 from viewfuse.model import (
     VIEW_ORDER,
     EmbeddingVector,
@@ -86,6 +87,12 @@ def test_embedding_vector_rejects_what_is_not_a_finite_vector(values):
         EmbeddingVector(values)
 
 
+def test_embedding_vector_zero_rejected():
+    # a zero vector has no cosine with anything, so it never enters a stage
+    with pytest.raises(ZeroNormVector):
+        EmbeddingVector([0.0, -0.0])
+
+
 def test_ply_parse(tmp_path):
     p = tmp_path / "cloud.ply"
     p.write_text(PLY_SIMPLE)
@@ -159,8 +166,11 @@ def test_ply_negative_vertex_count_rejected(tmp_path):
          "PLY body truncated: expected 3 vertices, got 0", 126),
         ("0.0 0.0 0.0\n1.0 2.0 3.0\n-1.5 0.5 2.25\n", "\n \n\t\n",
          "bad PLY vertex row: ''", 126),
+        ("ply\n", "plx\n", "not a PLY file (missing 'ply' magic)", 0),
+        ("end_header", "end_headr", "PLY header missing end_header or vertex element", 163),
     ],
-    ids=["short-row", "non-numeric", "blank-row", "truncated", "no-body", "blank-body"],
+    ids=["short-row", "non-numeric", "blank-row", "truncated", "no-body", "blank-body", "no-magic",
+         "no-end-header"],
 )
 def test_ply_body_error_message_and_offset(tmp_path, old, new, message, offset):
     p = tmp_path / "cloud.ply"
@@ -317,6 +327,13 @@ def test_json_cloud_with_an_integer_too_long_to_read_is_a_parse_error(tmp_path):
         load_point_cloud(p)
 
 
+def test_json_cloud_that_is_not_an_array_rejected(tmp_path):
+    p = tmp_path / "cloud.json"
+    p.write_text(json.dumps({"points": [[0, 0, 0]]}))
+    with pytest.raises(ParseError, match="must be an array of"):
+        load_point_cloud(p)
+
+
 def test_json_cloud_empty_rejected(tmp_path):
     p = tmp_path / "cloud.json"
     p.write_text("[]")
@@ -443,6 +460,52 @@ def test_ingest_manifest_rejects_unsafe_object_id(tmp_path, object_id):
     path = _write_manifest(tmp_path, object_id=object_id)
     with pytest.raises(ParseError, match="not a plain file name"):
         ingest_manifest(path)
+
+
+SIX_VIEWS = {vp.value: f"img_{vp.value}.png" for vp in VIEW_ORDER}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"object_id": ""}, "object_id must be a non-empty string"),
+        ({"object_id": 7}, "object_id must be a non-empty string"),
+        ({"views": ["img_front.png"]}, "views must be an object mapping viewpoint to image reference"),
+        ({"views": {**SIX_VIEWS, "side": "x.png"}}, r"views has unknown keys: \['side'\]"),
+        ({"views": {**SIX_VIEWS, "top": ""}}, "view 'top' reference must be a non-empty string"),
+        ({"views": {**SIX_VIEWS, "top": 3}}, "view 'top' reference must be a non-empty string"),
+        ({"point_cloud": ""}, "point_cloud must be a non-empty path string"),
+        ({"metadata": ["source"]}, "metadata must be an object"),
+    ],
+    ids=["empty-id", "number-id", "views-list", "unknown-view", "empty-view-ref", "number-view-ref",
+         "empty-cloud-path", "metadata-list"],
+)
+def test_ingest_manifest_rejects_a_malformed_field(tmp_path, overrides, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        ingest_manifest(_write_manifest(tmp_path, **overrides))
+
+
+def test_ingest_manifest_turns_a_re_encode_that_overflows_into_a_parse_error(tmp_path, monkeypatch):
+    # json.dumps recurses once per level, as json.loads does; run from a
+    # deeper frame than the parse, it can overflow on a value that parsed
+    def overflow(value):
+        raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+
+    monkeypatch.setattr(model, "encodes_as_utf8", overflow)
+    with pytest.raises(ParseError, match="^manifest is nested too deeply$"):
+        ingest_manifest(_write_manifest(tmp_path))
+
+
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path):
+    deep = "[" * 100_000 + "]" * 100_000
+    cloud = tmp_path / "deep.json"
+    cloud.write_text(deep)
+    with pytest.raises(ParseError, match="^point cloud is nested too deeply$"):
+        load_point_cloud(cloud)
+    manifest = tmp_path / "obj_1.json"
+    manifest.write_text(f'{{"metadata": {deep}}}')
+    with pytest.raises(ParseError, match="^manifest is nested too deeply$"):
+        ingest_manifest(manifest)
 
 
 def test_ingest_manifest_accepts_dotted_object_id(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import subprocess
@@ -43,7 +44,7 @@ from viewfuse.pipeline import (
     run_pipeline,
     stable_seed,
 )
-from viewfuse.providers import GenerationConfig, ProviderSet
+from viewfuse.providers import CloudEmbedder, GenerationConfig, ImageEmbedder, ProviderSet, make_request
 from viewfuse.providers.mock import build_mock_providers
 from viewfuse.synthesis import ViewSelection, assemble_global
 
@@ -432,6 +433,18 @@ def _add_directory_named_like_a_manifest(corpus_dir):
     (corpus_dir / "obj_001.json").mkdir()
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _nest_obj_001_metadata_deep(corpus_dir):
+    path = corpus_dir / "obj_001.json"
+    path.write_text(path.read_text().replace('"metadata": {', f'"metadata": {{"deep": {DEEP_JSON}, '))
+
+
+def _nest_json_cloud_deep(corpus_dir):
+    (corpus_dir / "clouds" / "obj_002.json").write_text(DEEP_JSON)
+
+
 @pytest.mark.parametrize(
     "damage, failed_key, error",
     [
@@ -445,9 +458,11 @@ def _add_directory_named_like_a_manifest(corpus_dir):
          "ParseError: point cloud is not UTF-8: invalid start byte"),
         (_add_directory_named_like_a_manifest, "@obj_001",
          "ParseError: cannot read manifest: Is a directory"),
+        (_nest_obj_001_metadata_deep, "@obj_001", "ParseError: manifest is nested too deeply"),
+        (_nest_json_cloud_deep, "@obj_002", "ParseError: point cloud is nested too deeply"),
     ],
     ids=["missing-cloud", "cloud-is-directory", "non-utf8-manifest", "non-utf8-cloud",
-         "manifest-is-directory"],
+         "manifest-is-directory", "deep-manifest", "deep-json-cloud"],
 )
 def test_unreadable_input_becomes_failure_record(tmp_path, damage, failed_key, error):
     corpus_dir = tmp_path / "corpus"
@@ -645,6 +660,128 @@ def test_provider_error_partway_through_an_object_fails_only_that_object(tmp_pat
     }
 
 
+def _records(out_dir):
+    return {path.name: path.read_bytes() for path in (out_dir / "records").iterdir()}
+
+
+def assert_only_obj_001_failed(clean_dir, out_dir, error):
+    """Each record in `out_dir` is byte-identical to `clean_dir`'s but
+    obj_001's, which failed with an error that starts with `error`."""
+    clean, records = _records(clean_dir), _records(out_dir)
+    assert records.keys() == clean.keys()
+    failed = json.loads(records.pop("obj_001.json"))
+    assert (failed["status"], failed["error"][: len(error)]) == ("failed", error)
+    del clean["obj_001.json"]
+    assert records == clean
+
+
+# an edit of the embedding of obj_001's top view (None: the reply or entry
+# becomes JSON nested too deeply), and the error of a fresh reply so edited
+REPLY_FAULTS = {
+    "mixed-dims": (
+        lambda values: values[:-1],
+        "DimensionMismatch: embeddings compared with each other have dims [255, 256]",
+    ),
+    "zero": (lambda values: [0.0] * len(values), "ZeroNormVector: "),
+    "deep": (None, "MalformedProviderResponse: "),
+}
+
+
+@pytest.mark.parametrize("fault", REPLY_FAULTS)
+def test_a_faulty_embedding_reply_over_http_fails_only_its_object(corpus, tmp_path, fault):
+    edit, error = REPLY_FAULTS[fault]
+
+    def damage(body, data):
+        if set(body) != {"image"} or "__obj_001__top" not in body["image"]:
+            return data
+        if edit is None:
+            return DEEP_JSON.encode()
+        doc = json.loads(data)
+        doc["data"][0]["embedding"] = edit(doc["data"][0]["embedding"])
+        return json.dumps(doc).encode()
+
+    truth = json.loads((corpus / "mock_truth.json").read_text())
+    server = MockModelServer(build_mock_providers(seed=42, truth=truth), damage)
+    try:
+        cfg = PipelineConfig(seed=42, workers=2, providers=server.provider_configs())
+        run_corpus(corpus, replace(cfg, providers={}), mock=True, out_dir=tmp_path / "clean")
+        summary = run_corpus(corpus, cfg, mock=False, out_dir=tmp_path / "http")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (summary["ok"], summary["failed"]) == (3, 1)
+    assert_only_obj_001_failed(tmp_path / "clean", tmp_path / "http", error)
+
+
+@pytest.mark.parametrize("fault", REPLY_FAULTS)
+def test_an_edited_embedding_cache_entry_fails_its_object_or_is_a_logged_miss(corpus, tmp_path, caplog, fault):
+    edit, error = REPLY_FAULTS[fault]
+    cfg = PipelineConfig(seed=42, cache_dir=str(tmp_path / "cache"))
+    run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "clean")
+    [ref] = [m.view_images[Viewpoint.TOP] for m in load_manifests(corpus) if m.object_id == "obj_001"]
+    key = make_request("embed_image", {"image_ref": ref}, "mock:image-embedder").cache_key
+    entry = tmp_path / "cache" / "embed_image" / f"{key}.json"
+    values = json.loads(entry.read_text())["values"]
+    entry.write_text(DEEP_JSON if edit is None else json.dumps({"values": edit(values)}))
+
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        summary = run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "warm")
+    if fault == "mixed-dims":  # a vector, but not one obj_001's others can be compared with
+        assert (summary["failed"], summary["cache"]["misses"]) == (1, 0)
+        assert_only_obj_001_failed(tmp_path / "clean", tmp_path / "warm", error)
+    else:  # no vector at all: embedded afresh
+        assert (summary["failed"], summary["cache"]["misses"]) == (0, 1)
+        assert _records(tmp_path / "warm") == _records(tmp_path / "clean")
+        [warning] = [r.getMessage() for r in caplog.records if "as a miss" in r.getMessage()]
+        assert f"{key}.json" in warning
+
+
+class ShortImageBatch(ImageEmbedder):
+    """Embeds images with `inner`, but drops the last embedding of obj_001's batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_id = inner.model_id
+
+    def embed_images(self, image_refs):
+        vectors = self.inner.embed_images(image_refs)
+        return vectors[:-1] if any("__obj_001__" in ref for ref in image_refs) else vectors
+
+
+class WiderCloud(CloudEmbedder):
+    """Embeds clouds with `inner`, `cloud` with one more dimension."""
+
+    def __init__(self, inner, cloud):
+        self.inner = inner
+        self.cloud = cloud
+        self.model_id = inner.model_id
+
+    def embed_cloud(self, cloud):
+        vector = self.inner.embed_cloud(cloud)
+        return EmbeddingVector([*vector.values, 0.5]) if cloud == self.cloud else vector
+
+
+@pytest.mark.parametrize("fault", ["short-image-batch", "wider-cloud"])
+def test_a_library_provider_fault_fails_only_its_object(corpus, fault):
+    cfg = PipelineConfig(seed=42)
+    providers, _, _ = build_providers(cfg, mock=True, corpus_dir=corpus)
+    manifests = load_manifests(corpus)
+    if fault == "short-image-batch":
+        faulty = replace(providers, image_embedder=ShortImageBatch(providers.image_embedder))
+        error = "LengthMismatch: (candidate lists, image embeddings, text embeddings) are (6, 5, 30)"
+    else:
+        cloud = next(m.point_cloud for m in manifests if m.object_id == "obj_001")
+        faulty = replace(providers, cloud_embedder=WiderCloud(providers.cloud_embedder, cloud))
+        error = "DimensionMismatch: embeddings compared with each other have dims [256, 257]"
+
+    clean = {r.object_id: record_to_json(r) for r in run_pipeline(manifests, cfg, providers)}
+    records = {r.object_id: r for r in run_pipeline(manifests, cfg, faulty)}
+    failed = records.pop("obj_001")
+    assert (failed.status, failed.error[: len(error)]) == ("failed", error)
+    del clean["obj_001"]
+    assert {object_id: record_to_json(r) for object_id, r in records.items()} == clean
+
+
 def test_over_long_failure_keys_are_cut_and_told_apart(tmp_path):
     # 245- and 250-byte names whose stems share their first 240 bytes,
     # and a 245-byte name of two-byte characters
@@ -711,9 +848,11 @@ class MockModelServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, providers):
+    def __init__(self, providers, damage=lambda body, data: data):
         super().__init__(("127.0.0.1", 0), MockModelHandler)
         self.providers = providers
+        # (request document, reply bytes) -> the reply bytes sent
+        self.damage = damage
         threading.Thread(target=self.serve_forever, daemon=True).start()
 
     def provider_configs(self) -> dict:
@@ -749,7 +888,7 @@ class MockModelHandler(BaseHTTPRequestHandler):
             else:
                 vec = p.cloud_embedder.embed_cloud(PointCloud(body["cloud"]))
             doc = {"data": [{"embedding": list(vec.values)}]}
-        data = json.dumps(doc).encode("utf-8")
+        data = self.server.damage(body, json.dumps(doc).encode("utf-8"))
         # one write: a body sent after its headers waits on Nagle's algorithm
         head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
         self.wfile.write(head.encode("ascii") + data)
@@ -857,6 +996,13 @@ def test_build_providers_http_mode_rejects_bad_keys():
         for role in ("generate", "embed_text", "embed_image", "embed_cloud")
     }
     with pytest.raises(ConfigError):
+        build_providers(PipelineConfig(providers=roles), mock=False)
+
+
+def test_build_providers_http_mode_rejects_a_role_that_is_not_an_object():
+    roles = {role: {"endpoint": "https://x", "request_template": {}} for role in PROVIDER_ROLES}
+    roles["embed_image"] = "https://x"
+    with pytest.raises(ConfigError, match="^provider 'embed_image': provider config must be an object$"):
         build_providers(PipelineConfig(providers=roles), mock=False)
 
 

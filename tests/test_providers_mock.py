@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from viewfuse.clustering import cosine_similarity
-from viewfuse.errors import MissingLogprobs, ParseError
+from viewfuse.errors import MalformedProviderResponse, MissingLogprobs
 from viewfuse.model import PointCloud, Viewpoint
 from viewfuse.providers import (
     GenerationConfig,
@@ -170,21 +170,22 @@ def test_generator_missing_logprobs_get_fallback_confidence():
 
 
 def test_resolve_drafts_median_fallback():
-    out = resolve_candidates(["t0", "t1", "t2", "t3"], [(-1.0,), (-3.0,), (-2.0,), None])
+    out = resolve_candidates(["t0", "t1", "t2", "t3"], [[-1.0], [-3], [-2.0], None], 4)
     assert out[3].raw_confidence == pytest.approx(2.0)  # median of 1, 3, 2
     assert out[3].token_logprobs == ()
+    assert out[1].token_logprobs == (-3.0,)
     assert out[0].raw_confidence == pytest.approx(1.0)
 
 
 def test_resolve_drafts_empty_logprob_tuple_rejected():
     with pytest.raises(MissingLogprobs):
-        resolve_candidates(["t"], [()])
+        resolve_candidates(["t"], [[]], 1)
 
 
 @pytest.mark.parametrize("text", ["", 5, None], ids=["empty", "number", "null"])
 def test_resolve_drafts_text_must_be_a_non_empty_string(text):
-    with pytest.raises(ParseError, match="^candidate text must be a non-empty string$"):
-        resolve_candidates(["a mug", text], [(-1.0,), None])
+    with pytest.raises(MalformedProviderResponse, match="not a list of non-empty strings$"):
+        resolve_candidates(["a mug", text], [[-1.0], None], 2)
 
 
 def test_make_request_key_sensitivity():
