@@ -257,7 +257,7 @@ def _cmd_demo_corpus(args) -> int:
             seed=args.seed,
             mismatched=_parse_int_list(args.mismatched),
         )
-    except OSError as e:
+    except (FileExistsError, NotADirectoryError, PermissionError) as e:  # --out itself is unusable
         raise ConfigError(f"cannot write {args.out}: {e.strerror or e}") from None
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0

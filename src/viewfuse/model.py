@@ -179,7 +179,8 @@ class PointCloud:
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
     """Fixed-length real vector from an embedding provider, held as a
-    read-only float64 copy of the array-like it is built from; finite, not all zero."""
+    read-only float64 copy of the array-like it is built from; its squared
+    norm, which the stages divide by, is a finite normal float."""
 
     values: np.ndarray
 
@@ -190,10 +191,12 @@ class EmbeddingVector:
             raise ParseError(f"embedding is not a real vector: {e}") from None
         if arr.ndim != 1 or arr.size == 0:
             raise ParseError(f"embedding must be a non-empty 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ParseError("embedding contains a non-finite component")
-        if not arr.any():
-            raise ZeroNormVector("an all-zero embedding has no direction to compare")
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            squared_norm = np.dot(arr, arr)
+        if not np.isfinite(squared_norm):
+            raise ParseError("embedding has a non-finite component or its norm overflows")
+        if squared_norm < np.finfo(np.float64).tiny:
+            raise ZeroNormVector("an embedding of zero or subnormal norm has no direction to compare")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

@@ -117,12 +117,10 @@ class ResponseCache:
 
 def _candidates_from_payload(payload: dict, n: int) -> list[CandidateDescription]:
     docs = payload["candidates"]
-    # an empty list is how a candidate without logprobs is stored
-    return resolve_candidates(
-        [d["text"] for d in docs],
-        [None if d["token_logprobs"] == [] else d["token_logprobs"] for d in docs],
-        n,
-    )
+    logprobs = [d["token_logprobs"] for d in docs]
+    if None in logprobs:  # the cache stores [] for absent logprobs, so a null is damage
+        raise ValueError("a cached candidate has null logprobs")
+    return resolve_candidates([d["text"] for d in docs], [None if lp == [] else lp for lp in logprobs], n)
 
 
 def _vector_to_doc(vec: EmbeddingVector) -> dict:

@@ -289,6 +289,7 @@ DAMAGES = {
     "empty-values": ("embed_cloud", lambda doc: {"values": []}),
     # a vector, but one without a direction to compare
     "zero-values": ("embed_image", lambda doc: {"values": [0.0] * len(doc["values"])}),
+    "underflow-values": ("embed_image", lambda doc: {"values": [1e-200] * len(doc["values"])}),
     "renamed-list": ("generate_candidates", lambda doc: {"choices": doc["candidates"]}),
     "string-list": ("generate_candidates", lambda doc: {"candidates": "ab"}),
     "missing-fields": ("generate_candidates", lambda doc: {"candidates": [{"view": "front"}]}),
@@ -311,6 +312,11 @@ DAMAGES = {
     "bool-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [True]}),
     # a consistent candidate but for the types: false would read as a
     # certain token, and float() would take the string
+    # the cache writes [] for absent logprobs, so a null is no form it stores
+    "null-logprobs": (
+        "generate_candidates",
+        lambda doc: {"candidates": [{**c, "token_logprobs": None} for c in doc["candidates"]]},
+    ),
     "bool-logprobs": (
         "generate_candidates",
         lambda doc: {"candidates": [

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 
@@ -74,6 +75,10 @@ BAD_ARGUMENT_VALUES = {
         ("demo-corpus", "--out", "{tmp}/file/corpus", "--objects", "1"),
         "cannot write {tmp}/file/corpus: Not a directory",
     ),
+    "demo-out-is-a-file": (
+        ("demo-corpus", "--out", "{tmp}/file", "--objects", "1"),
+        "cannot write {tmp}/file: Not a directory",
+    ),
     "solve-equal-means": (
         ("threshold", "solve", *GAUSSIANS, "--mu-neg", "0.65"),
         "mu_pos (0.65) must exceed mu_neg (0.65)",
@@ -96,6 +101,16 @@ def test_bad_argument_values_exit_2(capsys, tmp_path, case):
     assert (code, out) == (2, "")
     assert err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"
     assert not (tmp_path / "corpus").exists()
+
+
+def test_demo_corpus_write_failure_is_a_runtime_fault(monkeypatch, tmp_path):
+    # only an --out that cannot be made is bad usage, not a disk that fills up
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "build_demo_corpus", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        main(["demo-corpus", "--out", str(tmp_path / "corpus"), "--objects", "1"])
 
 
 def test_threshold_sweep_writes_csv_and_reports_minimum(capsys, tmp_path):

@@ -329,8 +329,9 @@ def test_embedder_replies_of_two_dimensions_both_decode():
     assert [emb.embed_text("a").dim, emb.embed_text("b").dim] == [2, 3]
 
 
-def test_embedder_zero_vector_rejected():
-    session = FakeSession(emb_response([0.0, 0.0, -0.0]))
+@pytest.mark.parametrize("values", [[0.0, 0.0, -0.0], [1e-200, 1e-200, 1e-200]], ids=["zero", "underflow"])
+def test_embedder_zero_vector_rejected(values):
+    session = FakeSession(emb_response(values))
     emb = HttpEmbedder(EMB_CONFIG, session=session, sleep=lambda s: None)
     with pytest.raises(ZeroNormVector):
         emb.embed_text("x")

@@ -80,7 +80,9 @@ def test_embedding_vector_holds_a_read_only_float64_copy():
 
 @pytest.mark.parametrize(
     "values",
-    [[], 1.0, [[1.0, 2.0]], [[1.0], [1.0, 2.0]], [1.0, np.nan], [np.inf], [None], ["a"], {"a": 1}],
+    [[], 1.0, [[1.0, 2.0]], [[1.0], [1.0, 2.0]], [1.0, np.nan], [np.inf], [None], ["a"], {"a": 1},
+     # finite, but the squared norm the stages divide by overflows to inf
+     [1e200, 1e200]],
 )
 def test_embedding_vector_rejects_what_is_not_a_finite_vector(values):
     with pytest.raises(ParseError):
@@ -88,9 +90,11 @@ def test_embedding_vector_rejects_what_is_not_a_finite_vector(values):
 
 
 def test_embedding_vector_zero_rejected():
-    # a zero vector has no cosine with anything, so it never enters a stage
-    with pytest.raises(ZeroNormVector):
-        EmbeddingVector([0.0, -0.0])
+    # a zero vector has no cosine with anything, so it never enters a stage;
+    # nor does one whose squared norm underflows to zero or a subnormal
+    for values in ([0.0, -0.0], [1e-200, 1e-200], [1e-160, 1e-160]):
+        with pytest.raises(ZeroNormVector):
+            EmbeddingVector(values)
 
 
 def test_ply_parse(tmp_path):

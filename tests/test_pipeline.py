@@ -683,6 +683,10 @@ REPLY_FAULTS = {
         "DimensionMismatch: embeddings compared with each other have dims [255, 256]",
     ),
     "zero": (lambda values: [0.0] * len(values), "ZeroNormVector: "),
+    # not zero, but the squared norm a cosine divides by underflows to 0.0
+    "underflow": (lambda values: [1e-200] * len(values), "ZeroNormVector: "),
+    # finite, but the squared norm overflows, and inf / inf is NaN
+    "overflow": (lambda values: [1e200] * len(values), "ParseError: "),
     "deep": (None, "MalformedProviderResponse: "),
 }
 
