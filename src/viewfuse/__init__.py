@@ -12,7 +12,6 @@ object is flagged for review.
 from . import errors
 from .bandit import (
     BanditState,
-    RewardSignal,
     ThompsonState,
     compute_reward,
     epsilon_greedy_select,
@@ -66,7 +65,6 @@ from .simulate import (
     simulate_strategies,
 )
 from .synthesis import (
-    ViewSelection,
     assemble_global,
     extract_core_sentence,
     prioritize_front_back,
@@ -86,11 +84,9 @@ __all__ = [
     "PipelineConfig",
     "PointCloud",
     "ProviderSet",
-    "RewardSignal",
     "ThompsonState",
     "TruncatedGaussianPair",
     "VIEW_ORDER",
-    "ViewSelection",
     "Viewpoint",
     "aggregate_object",
     "annotate_object",

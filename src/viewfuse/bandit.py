@@ -13,19 +13,6 @@ from dataclasses import dataclass, field
 from .errors import InvalidArm, NoArms
 
 
-@dataclass(frozen=True)
-class RewardSignal:
-    """A reward observation, clamped into [0, 1] at construction."""
-
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if not math.isfinite(v):
-            raise ValueError(f"reward must be finite, got {v!r}")
-        object.__setattr__(self, "value", min(1.0, max(0.0, v)))
-
-
 @dataclass
 class BanditState:
     """Pull counts and empirical mean rewards for one view's arms."""
@@ -67,15 +54,14 @@ def ucb1_select(state: BanditState) -> int:
     return best_arm
 
 
-def update_mean(state: BanditState, arm: int, reward: RewardSignal) -> BanditState:
-    """Fold one observation into `arm`'s exact running mean; return the state."""
+def update_mean(state: BanditState, arm: int, reward: float) -> None:
+    """Fold one reward in [0, 1] into `arm`'s exact running mean."""
     if not 0 <= arm < state.arm_count:
         raise InvalidArm(f"arm {arm} outside [0, {state.arm_count})")
     state.pulls[arm] += 1
     n = state.pulls[arm]
-    state.means[arm] = ((n - 1) * state.means[arm] + reward.value) / n
+    state.means[arm] = ((n - 1) * state.means[arm] + reward) / n
     state.total_rounds += 1
-    return state
 
 
 def epsilon_greedy_select(state: BanditState, epsilon: float, rng: random.Random) -> int:
@@ -124,21 +110,19 @@ def thompson_select(state: ThompsonState, rng: random.Random) -> int:
     return best_arm
 
 
-def thompson_update(
-    state: ThompsonState, arm: int, reward: RewardSignal, rng: random.Random
-) -> ThompsonState:
-    """Binarize the reward by a Bernoulli draw and update the posterior."""
+def thompson_update(state: ThompsonState, arm: int, reward: float, rng: random.Random) -> None:
+    """Binarize the reward in [0, 1] by a Bernoulli draw and update the posterior."""
     if not 0 <= arm < state.arm_count:
         raise InvalidArm(f"arm {arm} outside [0, {state.arm_count})")
-    outcome = 1.0 if rng.random() < reward.value else 0.0
+    outcome = 1.0 if rng.random() < reward else 0.0
     state.successes[arm] += outcome
     state.failures[arm] += 1.0 - outcome
     state.total_rounds += 1
-    return state
 
 
-def compute_reward(composite_score: float | None) -> RewardSignal:
-    """Reward for pulling a candidate: its stored composite score."""
+def compute_reward(composite_score: float | None) -> float:
+    """Reward for pulling a candidate: its stored composite score, which
+    lies in [0, 1] as UCB1 requires (see `composite_score`)."""
     if composite_score is None:
         raise ValueError("candidate has no composite score; score canonical candidates first")
-    return RewardSignal(composite_score)
+    return composite_score

@@ -63,12 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ann.add_argument("--seed", type=int, default=None, help="override config seed")
     p_ann.add_argument("--workers", type=int, default=None, help="override worker count")
     p_ann.add_argument("--out", default="out", help="output directory (default: ./out)")
+    p_ann.set_defaults(handler=_cmd_annotate)
 
     p_thr = sub.add_parser("threshold", help="gate threshold tools")
     thr_sub = p_thr.add_subparsers(dest="threshold_command", required=True)
 
     p_solve = thr_sub.add_parser("solve", help="solve for the equal-density threshold")
     _add_gaussian_args(p_solve, required=True)
+    p_solve.set_defaults(handler=_cmd_threshold_solve)
 
     p_sweep = thr_sub.add_parser("sweep", help="error rates over a threshold grid")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
@@ -76,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", type=float, required=True)
     _add_gaussian_args(p_sweep, required=False)
     # the reference parameters, those of acceptance criterion 01
-    p_sweep.set_defaults(mu_pos=0.65, mu_neg=0.35, sigma_pos=0.1, sigma_neg=0.15)
+    p_sweep.set_defaults(
+        mu_pos=0.65, mu_neg=0.35, sigma_pos=0.1, sigma_neg=0.15, handler=_cmd_threshold_sweep
+    )
     p_sweep.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p_bandit = sub.add_parser("bandit", help="bandit tools")
@@ -91,12 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seeds", default="0", help="comma-separated integer seeds")
     p_sim.add_argument("--rounds", type=int, default=10_000)
     p_sim.add_argument("--out", default=None, help="write CSV here instead of stdout")
+    p_sim.set_defaults(handler=_cmd_bandit_simulate)
 
     p_cost = sub.add_parser("cost", help="estimate API spend")
     p_cost.add_argument("--objects", type=int, required=True)
     p_cost.add_argument("--price-image", type=float, required=True)
     p_cost.add_argument("--price-in", type=float, required=True, help="per 1k input tokens")
     p_cost.add_argument("--price-out", type=float, required=True, help="per 1k output tokens")
+    p_cost.set_defaults(handler=_cmd_cost)
 
     p_demo = sub.add_parser("demo-corpus", help="write a synthetic mock corpus")
     p_demo.add_argument("--out", required=True, help="corpus directory to create")
@@ -107,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated object indices given deliberately wrong cloud truth",
     )
+    p_demo.set_defaults(handler=_cmd_demo_corpus)
     return parser
 
 
@@ -264,22 +271,9 @@ def _cmd_demo_corpus(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "annotate":
-            return _cmd_annotate(args)
-        if args.command == "threshold":
-            if args.threshold_command == "solve":
-                return _cmd_threshold_solve(args)
-            return _cmd_threshold_sweep(args)
-        if args.command == "bandit":
-            return _cmd_bandit_simulate(args)
-        if args.command == "cost":
-            return _cmd_cost(args)
-        if args.command == "demo-corpus":
-            return _cmd_demo_corpus(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     # the last three come only from argument values (cost, demo-corpus, the threshold tools)
     except (ConfigError, NegativePrice, OutOfRangeArgument, DegenerateParams) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -287,7 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -110,9 +110,9 @@ def solve_optimal_threshold(
     """The density-crossing threshold inside (0, 1).
 
     With equal sigmas the crossing is the midpoint of the means.
-    Otherwise the quadratic has two roots; the one between the means is
-    the error-minimizing crossing and is preferred. A root is required
-    to lie strictly inside (0, 1).
+    Otherwise the quadratic has two roots. Only a root strictly inside
+    (0, 1) is returned, and the one between the means, the
+    error-minimizing crossing, is preferred.
     """
     params = TruncatedGaussianPair(
         mu_pos=mu_pos, mu_neg=mu_neg, sigma_pos=sigma_pos, sigma_neg=sigma_neg
@@ -130,13 +130,11 @@ def solve_optimal_threshold(
     sq = math.sqrt(disc)
     roots = sorted(((-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)))
 
-    between = [r for r in roots if params.mu_neg < r < params.mu_pos]
-    if between:
-        return between[0]
     in_unit = [r for r in roots if 0.0 < r < 1.0]
-    if in_unit:
-        return in_unit[0]
-    raise NoRootInUnitInterval(f"no crossing in (0, 1); roots {roots}")
+    if not in_unit:
+        raise NoRootInUnitInterval(f"no crossing in (0, 1); roots {roots}")
+    between = [r for r in in_unit if params.mu_neg < r < params.mu_pos]
+    return (between or in_unit)[0]
 
 
 def error_rates(

@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .bandit import (
     BanditState,
-    RewardSignal,
     ThompsonState,
     compute_reward,
     epsilon_greedy_select,
@@ -50,7 +49,7 @@ from .providers.cache import ResponseCache, wrap_with_cache
 from .providers.http import HttpCandidateGenerator, HttpEmbedder, HttpProviderConfig, KeepAliveSession
 from .providers.mock import build_mock_providers
 from .scoring import composite_score, relevance_weights
-from .synthesis import ViewSelection, assemble_global
+from .synthesis import assemble_global
 
 logger = logging.getLogger(__name__)
 
@@ -83,14 +82,14 @@ class AnnotationRecord:
 
 def run_bandit(
     cfg: PipelineConfig,
-    reward: Callable[[int], RewardSignal],
+    reward: Callable[[int], float],
     arm_count: int,
     rng: random.Random,
 ) -> list[tuple[int, float]]:
     """`cfg.rounds` rounds of `cfg.strategy` over `arm_count` arms.
 
     Each round picks an arm, observes `reward(arm)` and updates the
-    policy with it; the result is the (arm, reward value) of each round.
+    policy with it; the result is the (arm, reward) of each round.
     The selection and update functions are looked up in this module's
     namespace as the run starts, so wrappers installed there see every
     round.
@@ -114,9 +113,9 @@ def run_bandit(
     history = []
     for _ in range(cfg.rounds):
         arm = select()
-        signal = reward(arm)
-        update(arm, signal)
-        history.append((arm, signal.value))
+        value = reward(arm)
+        update(arm, value)
+        history.append((arm, value))
     return history
 
 
@@ -178,7 +177,7 @@ def aggregate_object(
     record = AnnotationRecord(
         manifest.object_id, "ok", metadata=dict(manifest.metadata), views={}
     )
-    selections: list[ViewSelection] = []
+    selections: dict[str, dict] = {}
     start = 0
     for view, view_candidates, image_emb in zip(VIEW_ORDER, candidates, image_embs):
         view_text_embs = text_embs[start : start + len(view_candidates)]
@@ -207,14 +206,13 @@ def aggregate_object(
 
         bandit, _ = _run_bandit(docs, reps, cfg, manifest.object_id, view)
         chosen = docs[bandit["selected_candidate_index"]]
-        selection = {"text": chosen["text"], "score": chosen["composite_score"]}
-        selections.append(ViewSelection(view=view, **selection))
+        selections[view.value] = {"text": chosen["text"], "score": chosen["composite_score"]}
         record.views[view.value] = {
             "view": view.value,
             "image_ref": manifest.view_images[view],
             "candidates": docs,
             "bandit": bandit,
-            "selection": selection,
+            "selection": selections[view.value],
         }
     record.global_annotation = assemble_global(selections, cfg.w_fb)
     return record
@@ -232,7 +230,8 @@ def annotate_object(
 ) -> AnnotationRecord:
     """One object's provider waves around `aggregate_object`, then the
     gate; failures become a failed record. Checks, once, that each batch
-    holds one result per item and that compared vectors share a dimension."""
+    holds one result per item, that each view has a candidate and that
+    compared vectors share a dimension."""
     gen_cfg = GenerationConfig(
         temperature=cfg.temperature, num_candidates=cfg.num_candidates
     )
@@ -248,6 +247,9 @@ def annotate_object(
             raise LengthMismatch(
                 f"(candidate lists, image embeddings, text embeddings) are {counts}"
             )
+        for view, view_candidates in zip(VIEW_ORDER, candidates):
+            if not view_candidates:
+                raise LengthMismatch(f"the generator returned no candidates for view {view.value}")
         _check_dims(image_embs + text_embs)
         record = aggregate_object(manifest, cfg, candidates, image_embs, text_embs)
 

@@ -107,6 +107,14 @@ class HttpProviderConfig:
                     "extra_headers must be header names mapped to Latin-1 strings "
                     f"without line breaks, got {name!r}: {value!r}"
                 )
+        for name in ("texts_path", "logprobs_path", "embedding_path"):
+            path = getattr(self, name)
+            if path is None:
+                continue
+            try:
+                _tokenize_path(path)
+            except MalformedProviderResponse as e:
+                raise ConfigError(f"{name} must be a response path: {e}") from None
         self.api_key()
 
     def api_key(self) -> str:

@@ -27,6 +27,9 @@ def composite_score(norm_conf: float, relevance: float, blend_ratio: float) -> f
     """Convex combination: (1 - blend) * confidence + blend * relevance.
 
     At blend 0 and 1 the formula gives the confidence and the relevance
-    exactly, since both lie in [0, 1].
+    exactly, since both lie in [0, 1]. For any blend in [0, 1] the result
+    stays in [0, 1] in floating point too: rounding is monotone, so
+    fl(b * r) <= b, fl(fl(1 - b) * c) <= fl(1 - b) and fl(1 - b) + b
+    rounds to 1.
     """
     return (1.0 - blend_ratio) * norm_conf + blend_ratio * relevance

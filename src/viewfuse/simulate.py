@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandit import RewardSignal
 from .config import PipelineConfig
 from .errors import EmptyInput, OutOfRangeArgument, UnknownStrategy
 from .model import is_json_number_list
@@ -103,8 +102,8 @@ def run_strategy(
     rng_policy = random.Random(stable_seed("sim-policy", strategy, seed))
     best_arm, best_mean = env.best_arm, env.best_mean
 
-    def payout(arm: int) -> RewardSignal:
-        return RewardSignal(1.0 if rng_env.random() < env.means[arm] else 0.0)
+    def payout(arm: int) -> float:
+        return 1.0 if rng_env.random() < env.means[arm] else 0.0
 
     started = time.perf_counter()
     history = run_bandit(cfg, payout, len(env.means), rng_policy)
@@ -209,8 +208,7 @@ def selection_experiment(num_objects: int = 1_000, seeds: range | list[int] = ra
                 composite_score(float(confs[a]), float(rel[a]), cfg.blend_ratio)
                 for a in range(SELECTION_ARMS)
             ]
-            rewards = [RewardSignal(score) for score in scores]
-            history = run_bandit(cfg, rewards.__getitem__, SELECTION_ARMS, policy_rng)
+            history = run_bandit(cfg, scores.__getitem__, SELECTION_ARMS, policy_rng)
             chosen = most_pulled(pull_counts(history, SELECTION_ARMS))
             bandit_total += scores[chosen]
             uniform_total += scores[uniform_rng.randrange(SELECTION_ARMS)]

@@ -6,30 +6,20 @@ the global description; the best of the remaining views supplies
 supplementary detail.
 """
 
-from dataclasses import dataclass
-
 from .model import SIDE_VIEWS, VIEW_ORDER, Viewpoint
 
 _TERMINATORS = ".!?"
 
 
-@dataclass(frozen=True)
-class ViewSelection:
-    """The winning description for one view and its composite score."""
+def prioritize_front_back(selections: dict[str, dict], w_fb: float) -> tuple[str, float]:
+    """Front then back text, and w_fb times their mean score clamped to [0, 1].
 
-    view: Viewpoint
-    text: str
-    score: float
-
-
-def prioritize_front_back(
-    selections: list[ViewSelection], w_fb: float
-) -> tuple[str, float]:
-    """Front then back text, and w_fb times their mean score clamped to [0, 1]."""
-    by_view = {s.view: s for s in selections}
-    front, back = by_view[Viewpoint.FRONT], by_view[Viewpoint.BACK]
-    raw = w_fb * (front.score + back.score) / 2.0
-    return f"{front.text} {back.text}", min(1.0, max(0.0, raw))
+    `selections` maps each view name to that view's record `selection`
+    document, `{"text", "score"}`.
+    """
+    front, back = selections[Viewpoint.FRONT.value], selections[Viewpoint.BACK.value]
+    raw = w_fb * (front["score"] + back["score"]) / 2.0
+    return f"{front['text']} {back['text']}", min(1.0, max(0.0, raw))
 
 
 def extract_core_sentence(text: str) -> str:
@@ -55,7 +45,7 @@ def extract_core_sentence(text: str) -> str:
     return text
 
 
-def assemble_global(selections: list[ViewSelection], w_fb: float) -> dict:
+def assemble_global(selections: dict[str, dict], w_fb: float) -> dict:
     """The record's global document, from all six view selections.
 
     The core sentence comes from the combined front/back text. The
@@ -65,29 +55,25 @@ def assemble_global(selections: list[ViewSelection], w_fb: float) -> dict:
     the supplementary view's score. `w_fb` and the selections, in
     VIEW_ORDER, are kept in the document so it can be replayed.
     """
-    by_view = {s.view: s for s in selections}
     fb_text, fb_score = prioritize_front_back(selections, w_fb)
     core = extract_core_sentence(fb_text).strip()
 
     best = None
     for view in SIDE_VIEWS:
-        s = by_view[view]
+        s = selections[view.value]
         if (
             best is None
-            or s.score > best.score
-            or (s.score == best.score and len(s.text) > len(best.text))
+            or s["score"] > best["score"]
+            or (s["score"] == best["score"] and len(s["text"]) > len(best["text"]))
         ):
             best = s
-    supplementary = best.text.strip()
+    supplementary = best["text"].strip()
 
     return {
         "core_sentence": core,
         "supplementary": supplementary,
         "full_text": f"{core} {supplementary}",
-        "score_global": (fb_score + best.score) / 2.0,
+        "score_global": (fb_score + best["score"]) / 2.0,
         "w_fb": w_fb,
-        "per_view": [
-            {"view": v.value, "text": by_view[v].text, "score": by_view[v].score}
-            for v in VIEW_ORDER
-        ],
+        "per_view": [{"view": v.value, **selections[v.value]} for v in VIEW_ORDER],
     }

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from viewfuse.bandit import BanditState, RewardSignal, update_mean
+from viewfuse.bandit import BanditState, update_mean
 from viewfuse.clustering import dbscan_cluster
 from viewfuse.config import PipelineConfig
 from viewfuse.confidence import compute_raw_confidence
@@ -203,7 +203,7 @@ def test_criterion_04_bandit_bookkeeping_equals_brute_force():
         for _ in range(1000):
             arm = rng.randrange(k)
             reward = rng.random()
-            update_mean(state, arm, RewardSignal(reward))
+            update_mean(state, arm, reward)
             history[arm].append(reward)
         assert sum(state.pulls) == 1000
         assert state.total_rounds == 1000

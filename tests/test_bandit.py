@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from viewfuse.bandit import (
     BanditState,
-    RewardSignal,
     ThompsonState,
     compute_reward,
     epsilon_greedy_select,
@@ -18,17 +17,6 @@ from viewfuse.bandit import (
 )
 from viewfuse.errors import InvalidArm, NoArms
 from viewfuse.scoring import composite_score
-
-
-def test_reward_signal_clamps_to_unit_interval():
-    assert RewardSignal(1.7).value == 1.0
-    assert RewardSignal(-0.3).value == 0.0
-    assert RewardSignal(0.42).value == 0.42
-
-
-def test_reward_signal_rejects_non_finite():
-    with pytest.raises(ValueError):
-        RewardSignal(math.nan)
 
 
 def test_state_requires_at_least_one_arm():
@@ -42,7 +30,7 @@ def test_unpulled_arms_selected_first_in_index_order():
     for _ in range(3):
         arm = ucb1_select(state)
         order.append(arm)
-        update_mean(state, arm, RewardSignal(0.5))
+        update_mean(state, arm, 0.5)
     assert order == [0, 1, 2]
 
 
@@ -83,7 +71,7 @@ def test_update_mean_incremental_matches_direct_mean():
     state = BanditState(arm_count=1)
     rewards = [0.1, 0.9, 0.4, 0.7, 0.2]
     for r in rewards:
-        update_mean(state, 0, RewardSignal(r))
+        update_mean(state, 0, r)
     assert state.means[0] == pytest.approx(sum(rewards) / len(rewards), abs=1e-12)
     assert state.pulls[0] == len(rewards)
     assert state.total_rounds == len(rewards)
@@ -92,9 +80,9 @@ def test_update_mean_incremental_matches_direct_mean():
 def test_update_mean_rejects_bad_arm():
     state = BanditState(arm_count=2)
     with pytest.raises(InvalidArm):
-        update_mean(state, 2, RewardSignal(0.5))
+        update_mean(state, 2, 0.5)
     with pytest.raises(InvalidArm):
-        update_mean(state, -1, RewardSignal(0.5))
+        update_mean(state, -1, 0.5)
 
 
 def test_bookkeeping_matches_brute_force_replay():
@@ -106,7 +94,7 @@ def test_bookkeeping_matches_brute_force_replay():
     for _ in range(1_000):
         arm = rng.randrange(k)
         value = rng.random()
-        update_mean(state, arm, RewardSignal(value))
+        update_mean(state, arm, value)
         history[arm].append(value)
     for a in range(k):
         if history[a]:
@@ -129,8 +117,8 @@ def test_bookkeeping_property(updates):
     state = BanditState(arm_count=4)
     history = [[] for _ in range(4)]
     for arm, value in updates:
-        update_mean(state, arm, RewardSignal(value))
-        history[arm].append(RewardSignal(value).value)
+        update_mean(state, arm, value)
+        history[arm].append(value)
     for a in range(4):
         if history[a]:
             assert state.means[a] == pytest.approx(
@@ -181,10 +169,10 @@ def test_thompson_update_binarizes_deterministically_at_extremes():
     state = ThompsonState(arm_count=1)
     rng = random.Random(0)
     for _ in range(20):
-        thompson_update(state, 0, RewardSignal(1.0), rng)
+        thompson_update(state, 0, 1.0, rng)
     assert state.successes[0] == 20.0 + 0.0 and state.failures[0] == 0.0
     for _ in range(20):
-        thompson_update(state, 0, RewardSignal(0.0), rng)
+        thompson_update(state, 0, 0.0, rng)
     assert state.failures[0] == 20.0
     assert state.total_rounds == 40
 
@@ -192,6 +180,27 @@ def test_thompson_update_binarizes_deterministically_at_extremes():
 def test_thompson_priors_must_be_positive():
     with pytest.raises(ValueError):
         ThompsonState(arm_count=2, prior_alpha=0.0)
+
+
+def test_thompson_state_requires_at_least_one_arm():
+    with pytest.raises(NoArms):
+        ThompsonState(arm_count=0)
+
+
+def test_thompson_update_rejects_bad_arm():
+    state = ThompsonState(arm_count=2)
+    for arm in (2, -1):
+        with pytest.raises(InvalidArm):
+            thompson_update(state, arm, 0.5, random.Random(0))
+    assert state.total_rounds == 0
+
+
+@pytest.mark.parametrize(
+    "pulls, means", [([0], [0.0, 0.0]), ([0, 0], [0.0]), ([0, 0, 0], [0.0, 0.0, 0.0])]
+)
+def test_state_lists_must_have_one_entry_per_arm(pulls, means):
+    with pytest.raises(InvalidArm, match="pulls/means length must equal arm_count"):
+        BanditState(arm_count=2, pulls=pulls, means=means)
 
 
 def _scored(conf, rel, blend_ratio):
@@ -202,8 +211,8 @@ def _scored(conf, rel, blend_ratio):
 def test_compute_reward_is_the_composite_blend():
     score = _scored(0.6, 0.9, blend_ratio=0.2)
     reward = compute_reward(score)
-    assert reward.value == score
-    assert reward.value == pytest.approx(0.66, abs=1e-12)
+    assert reward == score
+    assert reward == pytest.approx(0.66, abs=1e-12)
 
 
 def test_compute_reward_requires_relevance():

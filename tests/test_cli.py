@@ -55,6 +55,16 @@ def test_threshold_solve_output_is_strict_json_for_separated_populations(capsys)
     assert json.loads(out, parse_constant=reject)["kl_divergence"] == pytest.approx(2.4524, abs=1e-4)
 
 
+def test_threshold_solve_without_a_crossing_in_the_unit_interval_exits_1(capsys):
+    # the crossing between the means is at 3.995, outside the similarity range
+    code, out, err = run(
+        capsys, "threshold", "solve",
+        "--mu-pos", "5", "--mu-neg", "3", "--sigma-pos", "1", "--sigma-neg", "1.1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NoRootInUnitInterval: no crossing in (0, 1); roots [3.99")
+
+
 GAUSSIANS = ("--mu-pos", "0.65", "--mu-neg", "0.35", "--sigma-pos", "0.1", "--sigma-neg", "0.15")
 PRICES = ("--price-image", "0.001", "--price-in", "0.5", "--price-out", "1.0")
 SWEEP = ("threshold", "sweep", "--from", "0.4", "--to", "0.7", "--step", "0.01")
@@ -469,6 +479,9 @@ BAD_PROVIDER_FIELDS = {
     # the key's value must not reach the error
     "api_key_env-key-newline": ("api_key_env", "VIEWFUSE_TEST_KEY"),
     "api_key_env-key-not-latin1": ("api_key_env", "VIEWFUSE_TEST_KEY_EURO"),
+    # a path every reply would fail to walk
+    "texts_path-bad-index": ("texts_path", "choices[x].text"),
+    "embedding_path-empty": ("embedding_path", ""),
 }
 for case, (name, value) in BAD_PROVIDER_FIELDS.items():
     BAD_CONFIGS[f"provider-{case}"] = (

@@ -108,11 +108,13 @@ def test_solver_midpoint_outside_unit_interval_rejected():
     [
         # both crossings hug the narrow density at 5, neither between the means
         ((5.0, 4.99, 0.01, 1.0), r"^no crossing in \(0, 1\); roots \[4\.96"),
+        # one crossing between the means, but both means and both crossings above 1
+        ((5.0, 3.0, 1.0, 1.1), r"^no crossing in \(0, 1\); roots \[3\.99"),
         # two nearly equal densities, whose discriminant rounds below zero
         ((1.0665871335895378, 1.0665871335874715, 1.6899676254318822e-08, 1.6899675591048538e-08),
          "^density curves do not cross$"),
     ],
-    ids=["both-roots-outside", "negative-discriminant"],
+    ids=["both-roots-outside", "between-means-above-1", "negative-discriminant"],
 )
 def test_solver_without_a_crossing_in_the_unit_interval_rejected(params, message):
     with pytest.raises(NoRootInUnitInterval, match=message):
@@ -154,6 +156,18 @@ def test_error_rates_match_monte_carlo():
     fnr, fpr, _ = error_rates(PARAMS, alpha)
     assert fnr == pytest.approx(float(np.mean(pos < alpha)), abs=0.01)
     assert fpr == pytest.approx(float(np.mean(neg >= alpha)), abs=0.01)
+
+
+def test_error_rates_at_the_ends_of_the_unit_interval():
+    # no matched pair scores below 0 and no mismatched pair reaches past 1
+    assert error_rates(PARAMS, 0.0) == (0.0, 1.0, 1.0)
+    assert error_rates(PARAMS, 1.0) == (1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("threshold", [-0.01, 1.01, math.nan])
+def test_error_rates_threshold_outside_unit_interval_rejected(threshold):
+    with pytest.raises(OutOfRangeArgument, match=r"^threshold must be in \[0, 1\]"):
+        error_rates(PARAMS, threshold)
 
 
 def test_error_rates_monotone_in_threshold():

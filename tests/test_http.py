@@ -27,6 +27,7 @@ from viewfuse.providers.http import (
     HttpEmbedder,
     HttpProviderConfig,
     extract_path,
+    extract_path_lenient,
     substitute_template,
 )
 
@@ -106,6 +107,15 @@ def test_extract_path_variants():
     assert extract_path(doc, "data[0].v") == 1
     assert extract_path(doc, "data[].v") == [1, 2]
     assert extract_path(doc, "nested.deep[2]") == 30
+
+
+def test_lenient_extract_path_turns_dead_ends_into_none():
+    doc = {"a": [1], "b": {"c": 2}}
+    assert extract_path_lenient(doc, "a[3]") is None  # list too short
+    assert extract_path_lenient(doc, "b[0]") is None  # index into an object
+    assert extract_path_lenient(doc, "b[].c") is None  # map over an object
+    assert extract_path_lenient(doc, "missing") is None
+    assert extract_path_lenient(doc, "b.c") == 2
 
 
 def test_extract_path_missing_key_raises():
@@ -612,6 +622,37 @@ def test_chunked_reply_parses(loopback):
         emb.session.close()
     assert [v.values.tolist() for v in vecs] == [[0.25, 0.5, 0.75]] * 2
     assert server.connections == 1  # the chunked reply kept the connection
+
+
+def test_reply_cut_off_mid_body_closes_the_connection_and_is_retried(loopback):
+    def cut_first(handler, index, body):
+        if index > 0:
+            return answer_embedding(handler, index, body)
+        # the head promises more body than arrives before the connection ends
+        handler.wfile.write(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b'Content-Length: 100\r\n\r\n{"data": [{"embe'
+        )
+        handler.close_connection = True
+        handler.connection.shutdown(socket.SHUT_RDWR)
+
+    server = loopback(cut_first)
+    slept = []
+
+    def backoff(seconds):
+        # the cut connection is closed before the retry, not found dead by it
+        open_sockets = [conn.sock for conn in emb.session._connections if conn.sock is not None]
+        slept.append((seconds, open_sockets))
+
+    emb = loopback_embedder(server, sleep=backoff)
+    try:
+        vec = emb.embed_text("whole")
+    finally:
+        emb.session.close()
+    assert vec.values.tolist() == [5.0, 1.0]
+    assert slept == [(1.0, [])]
+    assert server.connections == 2
+    assert len(server.requests) == 2
 
 
 def test_timeout_is_retried_with_backoff(loopback):

@@ -44,9 +44,10 @@ from viewfuse.pipeline import (
     run_pipeline,
     stable_seed,
 )
-from viewfuse.providers import CloudEmbedder, GenerationConfig, ImageEmbedder, ProviderSet, make_request
+from viewfuse.providers import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder
+from viewfuse.providers import ProviderSet, make_request
 from viewfuse.providers.mock import build_mock_providers
-from viewfuse.synthesis import ViewSelection, assemble_global
+from viewfuse.synthesis import assemble_global
 
 
 @pytest.fixture(scope="module")
@@ -227,12 +228,9 @@ def test_record_is_replayable_from_its_own_doc(corpus):
     manifest = load_manifests(corpus)[0]
     doc = record_to_doc(annotate_object(manifest, cfg, providers))
 
-    selections = [
-        ViewSelection(
-            view=Viewpoint.from_string(s["view"]), text=s["text"], score=s["score"]
-        )
-        for s in doc["global"]["per_view"]
-    ]
+    selections = {
+        s["view"]: {"text": s["text"], "score": s["score"]} for s in doc["global"]["per_view"]
+    }
     assert assemble_global(selections, doc["global"]["w_fb"]) == doc["global"]
 
     g = doc["gating"]
@@ -765,7 +763,22 @@ class WiderCloud(CloudEmbedder):
         return EmbeddingVector([*vector.values, 0.5]) if cloud == self.cloud else vector
 
 
-@pytest.mark.parametrize("fault", ["short-image-batch", "wider-cloud"])
+class EmptyTopView(CandidateGenerator):
+    """Generates with `inner`, but gives obj_001's top view no candidates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.model_id = inner.model_id
+
+    def generate_views(self, items, cfg):
+        lists = self.inner.generate_views(items, cfg)
+        return [
+            [] if view is Viewpoint.TOP and "__obj_001__" in ref else cands
+            for (view, ref), cands in zip(items, lists)
+        ]
+
+
+@pytest.mark.parametrize("fault", ["short-image-batch", "empty-view", "wider-cloud"])
 def test_a_library_provider_fault_fails_only_its_object(corpus, fault):
     cfg = PipelineConfig(seed=42)
     providers, _, _ = build_providers(cfg, mock=True, corpus_dir=corpus)
@@ -773,6 +786,9 @@ def test_a_library_provider_fault_fails_only_its_object(corpus, fault):
     if fault == "short-image-batch":
         faulty = replace(providers, image_embedder=ShortImageBatch(providers.image_embedder))
         error = "LengthMismatch: (candidate lists, image embeddings, text embeddings) are (6, 5, 30)"
+    elif fault == "empty-view":
+        faulty = replace(providers, generator=EmptyTopView(providers.generator))
+        error = "LengthMismatch: the generator returned no candidates for view top"
     else:
         cloud = next(m.point_cloud for m in manifests if m.object_id == "obj_001")
         faulty = replace(providers, cloud_embedder=WiderCloud(providers.cloud_embedder, cloud))
@@ -1034,6 +1050,9 @@ def test_build_providers_http_mode_rejects_a_role_that_is_not_an_object():
         ("auth_scheme", "Bearer\n"),
         ("api_key_env", "VIEWFUSE_TEST_KEY"),
         ("api_key_env", "\ud800"),
+        ("texts_path", "choices[x].text"),
+        ("logprobs_path", "choices[].logprobs."),
+        ("embedding_path", "data[-1].embedding"),
     ],
     ids=[
         "timeout-string", "timeout-bool", "timeout-beyond-float", "model-number",
@@ -1042,7 +1061,8 @@ def test_build_providers_http_mode_rejects_a_role_that_is_not_an_object():
         "request_template-nan", "extra_headers-value-list", "extra_headers-value-newline",
         "extra_headers-value-not-latin1", "extra_headers-name-colon",
         "auth_header-not-a-name", "auth_scheme-newline", "api_key_env-key-newline",
-        "api_key_env-surrogate",
+        "api_key_env-surrogate", "texts_path-bad-index", "logprobs_path-empty-segment",
+        "embedding_path-negative-index",
     ],
 )
 def test_build_providers_http_mode_checks_each_field_type(monkeypatch, field, value):

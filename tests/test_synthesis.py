@@ -1,27 +1,25 @@
 import pytest
 
-from viewfuse.model import Viewpoint
 from viewfuse.synthesis import (
-    ViewSelection,
     assemble_global,
     extract_core_sentence,
     prioritize_front_back,
 )
 
 
-def sel(view, text, score):
-    return ViewSelection(view=view, text=text, score=score)
+def sel(text, score):
+    return {"text": text, "score": score}
 
 
 def full_set(front=0.8, back=0.6, left=0.5, right=0.7, top=0.4, bottom=0.3):
-    return [
-        sel(Viewpoint.FRONT, "A blue kettle with a steel spout.", front),
-        sel(Viewpoint.BACK, "The back shows a hinged lid.", back),
-        sel(Viewpoint.LEFT, "Left side has a gauge.", left),
-        sel(Viewpoint.RIGHT, "Right side has a long handle.", right),
-        sel(Viewpoint.TOP, "Top reveals the lid knob.", top),
-        sel(Viewpoint.BOTTOM, "Flat heated base.", bottom),
-    ]
+    return {
+        "front": sel("A blue kettle with a steel spout.", front),
+        "back": sel("The back shows a hinged lid.", back),
+        "left": sel("Left side has a gauge.", left),
+        "right": sel("Right side has a long handle.", right),
+        "top": sel("Top reveals the lid knob.", top),
+        "bottom": sel("Flat heated base.", bottom),
+    }
 
 
 def test_front_back_concatenation_and_weighting():
@@ -86,21 +84,21 @@ def test_assemble_global_side_tie_prefers_longer_text():
 
 
 def test_assemble_global_full_tie_takes_view_order():
-    selections = [
-        sel(Viewpoint.FRONT, "Front text here.", 0.5),
-        sel(Viewpoint.BACK, "Back text here.", 0.5),
-        sel(Viewpoint.LEFT, "Same length AA.", 0.5),
-        sel(Viewpoint.RIGHT, "Same length BB.", 0.5),
-        sel(Viewpoint.TOP, "Same length CC.", 0.5),
-        sel(Viewpoint.BOTTOM, "Same length DD.", 0.5),
-    ]
+    selections = {
+        "front": sel("Front text here.", 0.5),
+        "back": sel("Back text here.", 0.5),
+        "left": sel("Same length AA.", 0.5),
+        "right": sel("Same length BB.", 0.5),
+        "top": sel("Same length CC.", 0.5),
+        "bottom": sel("Same length DD.", 0.5),
+    }
     ga = assemble_global(selections, w_fb=1.2)
     assert ga["supplementary"] == "Same length AA."
 
 
 def test_assemble_global_strips_core_before_joining():
     selections = full_set()
-    selections[0] = sel(Viewpoint.FRONT, "A blue kettle.   Trailing detail.", 0.8)
+    selections["front"] = sel("A blue kettle.   Trailing detail.", 0.8)
     ga = assemble_global(selections, w_fb=1.2)
     assert ga["core_sentence"] == "A blue kettle."
     assert "  " not in ga["full_text"]
