@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -10,8 +12,8 @@ import numpy as np
 import pytest
 
 from viewfuse.errors import CacheCorruption, CacheDirUnwritable
-from viewfuse.model import CandidateDescription, PointCloud, Viewpoint
-from viewfuse.providers import GenerationConfig, make_request
+from viewfuse.model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
+from viewfuse.providers import GenerationConfig, TextEmbedder, make_request
 from viewfuse.providers.cache import CachedEmbedder, ResponseCache, wrap_with_cache
 from viewfuse.providers.mock import MockCandidateGenerator, build_mock_providers
 
@@ -20,6 +22,18 @@ CFG = GenerationConfig(temperature=0.7, num_candidates=5)
 
 def req(payload=None, kind="generate"):
     return make_request(kind, payload or {"x": 1}, "model-a")
+
+
+class FixedTextEmbedder(TextEmbedder):
+    """Embeds every text as one given vector."""
+
+    model_id = "fixed"
+
+    def __init__(self, values):
+        self.vector = EmbeddingVector(np.array(values))
+
+    def embed_texts(self, texts):
+        return [self.vector for _ in texts]
 
 
 def test_fetch_miss_then_hit(tmp_path):
@@ -111,6 +125,16 @@ def test_cache_keys_are_pinned(tmp_path):
     ]
 
 
+def test_embedding_entry_bytes_are_pinned(tmp_path):
+    # an entry written by another version reads back only while this format holds
+    CachedEmbedder(FixedTextEmbedder([-0.0, 5e-324, 0.1, 1 / 3]), ResponseCache(tmp_path)).embed_text("t")
+    [path] = (tmp_path / "embed_text").iterdir()
+    assert path.read_bytes().startswith(b'{"f64":"')
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "cf3077e4f728327091e446c1b7481dd459de53322a76d63115c2435000105bb1"
+    )
+
+
 def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
     providers = build_mock_providers(seed=9)
     writer = ResponseCache(tmp_path)
@@ -124,6 +148,22 @@ def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
     reader = ResponseCache(tmp_path)
     assert wrap_with_cache(fresh, reader).text_embedder.embed_text("A mug.") == expected
     assert fresh.text_embedder.calls == 0
+    assert reader.stats() == {"hits": 1, "misses": 0}
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+def test_format_1_embedding_entry_is_still_a_hit(tmp_path, indent):
+    # entries written before the float64 format held the floats as JSON numbers
+    expected = build_mock_providers(seed=9).text_embedder.embed_text("A mug.")
+    key = make_request("embed_text", {"text": "A mug."}, "mock:text-embedder").cache_key
+    (tmp_path / "embed_text").mkdir()
+    path = tmp_path / "embed_text" / f"{key}.json"
+    path.write_text(json.dumps({"values": expected.values.tolist()}, indent=indent), encoding="utf-8")
+
+    backing = build_mock_providers(seed=9)
+    reader = ResponseCache(tmp_path)
+    assert wrap_with_cache(backing, reader).text_embedder.embed_text("A mug.") == expected
+    assert backing.text_embedder.calls == 0
     assert reader.stats() == {"hits": 1, "misses": 0}
 
 
@@ -251,6 +291,17 @@ def test_cached_embedders_roundtrip_exact_floats(tmp_path):
     assert cached.cloud_embedder.embed_cloud(cloud) == providers.cloud_embedder.embed_cloud(cloud)
 
 
+def test_cached_embedding_keeps_every_bit(tmp_path):
+    # a negative zero, the least subnormal, and fractions with no short decimal form
+    backing = FixedTextEmbedder([-0.0, 5e-324, 0.1, 1 / 3])
+    writer = CachedEmbedder(backing, ResponseCache(tmp_path))
+    assert writer.embed_text("t").values.tobytes() == backing.vector.values.tobytes()
+    reader = ResponseCache(tmp_path)
+    hit = CachedEmbedder(FixedTextEmbedder([1.0]), reader).embed_text("t")
+    assert reader.stats() == {"hits": 1, "misses": 0}
+    assert hit.values.tobytes() == backing.vector.values.tobytes()
+
+
 def test_warm_cache_needs_no_backing_calls(tmp_path):
     warm = build_mock_providers(seed=5)
     cache = ResponseCache(tmp_path)
@@ -280,16 +331,26 @@ CALLS = {
 }
 
 
+def format1(edit):
+    """`edit` applied to the stored embedding written out as a format-1 `{"values": [...]}` entry."""
+    return lambda doc: edit({"values": np.frombuffer(base64.b64decode(doc["f64"]), dtype="<f8").tolist()})
+
+
+def raw(edit):
+    """The stored embedding's bytes, edited, as an `f64` entry."""
+    return lambda doc: {"f64": base64.b64encode(edit(base64.b64decode(doc["f64"]))).decode("ascii")}
+
+
 # (request kind, stored payload -> damaged payload)
 DAMAGES = {
-    "renamed-key": ("embed_text", lambda doc: {"vals": doc["values"]}),
+    "renamed-key": ("embed_text", format1(lambda doc: {"vals": doc["values"]})),
     "string-values": ("embed_text", lambda doc: {"values": "ab"}),
-    "nested-values": ("embed_text", lambda doc: {"values": [doc["values"]]}),
-    "null-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [None]}),
+    "nested-values": ("embed_text", format1(lambda doc: {"values": [doc["values"]]})),
+    "null-component": ("embed_image", format1(lambda doc: {"values": doc["values"][:-1] + [None]})),
     "empty-values": ("embed_cloud", lambda doc: {"values": []}),
     # a vector, but one without a direction to compare
-    "zero-values": ("embed_image", lambda doc: {"values": [0.0] * len(doc["values"])}),
-    "underflow-values": ("embed_image", lambda doc: {"values": [1e-200] * len(doc["values"])}),
+    "zero-values": ("embed_image", format1(lambda doc: {"values": [0.0] * len(doc["values"])})),
+    "underflow-values": ("embed_image", format1(lambda doc: {"values": [1e-200] * len(doc["values"])})),
     "renamed-list": ("generate_candidates", lambda doc: {"choices": doc["candidates"]}),
     "string-list": ("generate_candidates", lambda doc: {"candidates": "ab"}),
     "missing-fields": ("generate_candidates", lambda doc: {"candidates": [{"view": "front"}]}),
@@ -308,8 +369,8 @@ DAMAGES = {
     ),
     "short-list": ("generate_candidates", lambda doc: {"candidates": doc["candidates"][:-1]}),
     "empty-list": ("generate_candidates", lambda doc: {"candidates": []}),
-    "string-component": ("embed_text", lambda doc: {"values": doc["values"][:-1] + ["0.5"]}),
-    "bool-component": ("embed_image", lambda doc: {"values": doc["values"][:-1] + [True]}),
+    "string-component": ("embed_text", format1(lambda doc: {"values": doc["values"][:-1] + ["0.5"]})),
+    "bool-component": ("embed_image", format1(lambda doc: {"values": doc["values"][:-1] + [True]})),
     # a consistent candidate but for the types: false would read as a
     # certain token, and float() would take the string
     # the cache writes [] for absent logprobs, so a null is no form it stores
@@ -329,8 +390,18 @@ DAMAGES = {
             {**c, "token_logprobs": [str(lp) for lp in c["token_logprobs"]]} for c in doc["candidates"]
         ]},
     ),
+    # the float64 bytes of the current format, damaged
+    "f64-bad-char": ("embed_text", lambda doc: {"f64": "*" + doc["f64"][1:]}),
+    "f64-ragged-bytes": ("embed_image", raw(lambda b: b[:-1])),
+    "f64-empty": ("embed_cloud", lambda doc: {"f64": ""}),
+    "f64-number": ("embed_text", lambda doc: {"f64": 5}),
+    "f64-nan": ("embed_image", raw(lambda b: b[:-8] + np.array([np.nan], "<f8").tobytes())),
+    "f64-inf": ("embed_cloud", raw(lambda b: b[:-8] + np.array([-np.inf], "<f8").tobytes())),
+    "f64-zero": ("embed_text", raw(lambda b: bytes(len(b)))),
+    "f64-underflow": ("embed_image", raw(lambda b: np.array([1e-200, 1e-200], "<f8").tobytes())),
+    "f64-overflow": ("embed_cloud", raw(lambda b: np.array([1e200, 1e200], "<f8").tobytes())),
     # JSON integers that no float can hold
-    "huge-int-component": ("embed_cloud", lambda doc: {"values": doc["values"][:-1] + [10**400]}),
+    "huge-int-component": ("embed_cloud", format1(lambda doc: {"values": doc["values"][:-1] + [10**400]})),
     "huge-int-logprobs": (
         "generate_candidates",
         lambda doc: {"candidates": [

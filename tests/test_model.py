@@ -65,6 +65,15 @@ def test_point_cloud_is_immutable():
         cloud.points[0, 0] = 9.0
 
 
+def test_point_cloud_equality_and_repr():
+    cloud = PointCloud([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
+    assert cloud == PointCloud([[1, 2, 3], [0, 0, 0]])
+    assert cloud != PointCloud([[1.0, 2.0, 3.0]])
+    assert cloud.__eq__(cloud.points.tolist()) is NotImplemented
+    assert (cloud == cloud.points.tolist()) is False
+    assert repr(cloud) == "PointCloud(count=2)"
+
+
 def test_embedding_vector_holds_a_read_only_float64_copy():
     source = np.array([1.0, 2.0, 3.0])
     vec = EmbeddingVector(source)
@@ -76,6 +85,8 @@ def test_embedding_vector_holds_a_read_only_float64_copy():
         vec.values[0] = 0.0
     assert vec == EmbeddingVector([1, 2, 3])
     assert vec != EmbeddingVector([1.0, 2.0])
+    assert vec.__eq__([1.0, 2.0, 3.0]) is NotImplemented
+    assert (vec == [1.0, 2.0, 3.0]) is False
 
 
 @pytest.mark.parametrize(
@@ -95,6 +106,22 @@ def test_embedding_vector_zero_rejected():
     for values in ([0.0, -0.0], [1e-200, 1e-200], [1e-160, 1e-160]):
         with pytest.raises(ZeroNormVector):
             EmbeddingVector(values)
+
+
+def test_write_atomic_raises_the_replace_error_when_the_clean_up_fails_too(tmp_path, monkeypatch):
+    def failing(what):
+        def fail(*args):
+            raise OSError(f"{what} failed")
+
+        return fail
+
+    monkeypatch.setattr(model.os, "replace", failing("replace"))
+    monkeypatch.setattr(model.os, "unlink", failing("unlink"))
+    with pytest.raises(OSError, match="replace failed"):
+        model.write_atomic(tmp_path / "out.json", "{}")
+    monkeypatch.undo()
+    [left] = tmp_path.iterdir()  # the temp file the clean-up could not remove
+    assert left.name.startswith("out.json.") and left.read_text() == "{}"
 
 
 def test_ply_parse(tmp_path):

@@ -1,3 +1,4 @@
+import base64
 import gc
 import hashlib
 import json
@@ -13,6 +14,7 @@ from dataclasses import fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -715,16 +717,17 @@ def test_a_faulty_embedding_reply_over_http_fails_only_its_object(corpus, tmp_pa
     assert_only_obj_001_failed(tmp_path / "clean", tmp_path / "http", error)
 
 
-@pytest.mark.parametrize("fault", REPLY_FAULTS)
-def test_an_edited_embedding_cache_entry_fails_its_object_or_is_a_logged_miss(corpus, tmp_path, caplog, fault):
+def _rerun_with_an_edited_embedding_entry(corpus, tmp_path, caplog, fault, entry_doc):
+    """Warm a cache, write `entry_doc` of the edited vector over obj_001's top-view
+    image entry (the deep fault writes unparseable JSON), and rerun."""
     edit, error = REPLY_FAULTS[fault]
     cfg = PipelineConfig(seed=42, cache_dir=str(tmp_path / "cache"))
     run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "clean")
     [ref] = [m.view_images[Viewpoint.TOP] for m in load_manifests(corpus) if m.object_id == "obj_001"]
     key = make_request("embed_image", {"image_ref": ref}, "mock:image-embedder").cache_key
     entry = tmp_path / "cache" / "embed_image" / f"{key}.json"
-    values = json.loads(entry.read_text())["values"]
-    entry.write_text(DEEP_JSON if edit is None else json.dumps({"values": edit(values)}))
+    values = np.frombuffer(base64.b64decode(json.loads(entry.read_text())["f64"]), dtype="<f8").tolist()
+    entry.write_text(DEEP_JSON if edit is None else json.dumps(entry_doc(edit(values))))
 
     with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
         summary = run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "warm")
@@ -736,6 +739,23 @@ def test_an_edited_embedding_cache_entry_fails_its_object_or_is_a_logged_miss(co
         assert _records(tmp_path / "warm") == _records(tmp_path / "clean")
         [warning] = [r.getMessage() for r in caplog.records if "as a miss" in r.getMessage()]
         assert f"{key}.json" in warning
+
+
+@pytest.mark.parametrize("fault", REPLY_FAULTS)
+def test_an_edited_embedding_cache_entry_fails_its_object_or_is_a_logged_miss(corpus, tmp_path, caplog, fault):
+    # a format-1 entry, the floats as JSON numbers
+    _rerun_with_an_edited_embedding_entry(corpus, tmp_path, caplog, fault, lambda values: {"values": values})
+
+
+@pytest.mark.parametrize("fault", REPLY_FAULTS)
+def test_an_edited_f64_cache_entry_fails_its_object_or_is_a_logged_miss(corpus, tmp_path, caplog, fault):
+    _rerun_with_an_edited_embedding_entry(
+        corpus,
+        tmp_path,
+        caplog,
+        fault,
+        lambda values: {"f64": base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")},
+    )
 
 
 class ShortImageBatch(ImageEmbedder):
