@@ -284,4 +284,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main())  # linecov: not run in-process (only `python -m viewfuse.cli` runs it)

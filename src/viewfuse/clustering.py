@@ -47,34 +47,23 @@ def dbscan_cluster(
     """
     n = len(embeddings)
     dist = _cosine_distance_matrix(embeddings)
-    neighbors = [np.flatnonzero(dist[i] <= eps) for i in range(n)]
-    is_core = [len(neighbors[i]) >= min_pts for i in range(n)]
+    neighbors = [np.flatnonzero(dist[i] <= eps).tolist() for i in range(n)]
+    is_core = [len(nb) >= min_pts for nb in neighbors]
 
-    labels = [None] * n  # None = unvisited, NOISE or id once decided
+    labels = [NOISE] * n
     cluster_id = 0
     for seed in range(n):
-        if labels[seed] is not None:
+        if labels[seed] != NOISE or not is_core[seed]:
             continue
-        if not is_core[seed]:
-            labels[seed] = NOISE  # may be reclaimed later as a border point
-            continue
+        # claim every unclaimed point reachable from the seed; only cores expand
         labels[seed] = cluster_id
-        queue = list(neighbors[seed])
-        qi = 0
-        while qi < len(queue):
-            p = int(queue[qi])
-            qi += 1
-            if labels[p] == NOISE:
-                labels[p] = cluster_id  # border point reclaimed
-            if labels[p] is not None and labels[p] != cluster_id:
-                continue
-            if labels[p] is None:
-                labels[p] = cluster_id
-            if is_core[p]:
-                for q in neighbors[p]:
-                    q = int(q)
-                    if labels[q] is None or labels[q] == NOISE:
-                        queue.append(q)
+        stack = [seed]
+        while stack:
+            for q in neighbors[stack.pop()]:
+                if labels[q] == NOISE:
+                    labels[q] = cluster_id
+                    if is_core[q]:
+                        stack.append(q)
         cluster_id += 1
 
     return labels

@@ -107,10 +107,6 @@ class MissingLogprobs(EngineError, RuntimeError):
     """Provider cannot supply token logprobs for a candidate."""
 
 
-class CacheCorruption(EngineError, RuntimeError):
-    """Cache entry exists but cannot be decoded."""
-
-
 class CacheDirUnwritable(EngineError, OSError):
     """Cache directory cannot be created or written."""
 

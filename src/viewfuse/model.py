@@ -348,7 +348,7 @@ def _raise_bad_ply_body(
             f"PLY body truncated: expected {vertex_count} vertices, got {len(body)}",
             offset=end,
         )
-    raise ParseError("PLY vertex rows could not be read", offset=end)
+    raise ParseError("PLY vertex rows could not be read", offset=end)  # linecov: not run in-process (no known input reaches it)
 
 
 def is_json_number(value) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from ..confidence import compute_raw_confidence
 from ..errors import MalformedProviderResponse, MissingLogprobs
-from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, canonical_json
+from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 from ..model import encodes_as_utf8, is_json_number_list, is_json_vector
 
 
@@ -24,25 +24,6 @@ from ..model import encodes_as_utf8, is_json_number_list, is_json_vector
 class GenerationConfig:
     temperature: float = 0.7
     num_candidates: int = 5
-
-
-@dataclass(frozen=True)
-class ProviderRequest:
-    """A logical provider call, with a stable key for the cache.
-
-    Identical logical requests always produce identical keys, so cache
-    hits survive process restarts.
-    """
-
-    kind: str  # generate_candidates | embed_text | embed_image | embed_cloud
-    cache_key: str
-
-
-def make_request(kind: str, payload: dict, model_id: str) -> ProviderRequest:
-    digest = hashlib.sha256(
-        f"{kind}\n{model_id}\n{canonical_json(payload)}".encode("utf-8")
-    ).hexdigest()[:32]
-    return ProviderRequest(kind=kind, cache_key=digest)
 
 
 def cloud_digest(cloud: PointCloud) -> str:

@@ -1,17 +1,18 @@
 """On-disk JSON cache for provider responses.
 
 One JSON file per logical request, laid out as
-<cache_dir>/<kind>/<cache_key>.json and written on one line with sorted
-keys and no whitespace; any valid JSON layout of an entry reads back the
-same. Writes go through a temp file and an atomic rename, so concurrent
-writers of the same key are safe.
+<cache_dir>/<kind>/<32 hex digits>.json (ResponseCache.path) and written
+on one line with sorted keys and no whitespace; any valid JSON layout of
+an entry reads back the same. Writes go through a temp file and an
+atomic rename, so concurrent writers of the same key are safe.
 A damaged entry, unreadable or not decodable to the cached type, is a
-miss: the backing provider is invoked again and the entry rewritten.
+logged miss: the backing provider is invoked again and the entry rewritten.
 A batch call keeps one entry per item: its hits are read one by one,
 and only its misses go to the backing provider, in one batch call.
 """
 
 import base64
+import hashlib
 import logging
 import threading
 from pathlib import Path
@@ -19,18 +20,17 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import CacheCorruption, CacheDirUnwritable, MalformedProviderResponse, ParseError
+from ..errors import CacheDirUnwritable, MalformedProviderResponse
 from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 from ..model import canonical_json, parse_json, write_atomic
 from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
-from . import ProviderRequest, ProviderSet, cloud_digest, make_request, resolve_candidates
-from . import vector_from_json
+from . import ProviderSet, cloud_digest, resolve_candidates, vector_from_json
 
 logger = logging.getLogger(__name__)
 
 
 class ResponseCache:
-    """File-backed store keyed by ProviderRequest.cache_key."""
+    """File-backed store of provider responses, one entry per logical call."""
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
@@ -38,79 +38,72 @@ class ResponseCache:
         self.misses = 0
         self._lock = threading.Lock()  # worker threads share the counters
 
-    def _path(self, req: ProviderRequest) -> Path:
-        return self.cache_dir / req.kind / f"{req.cache_key}.json"
+    def path(self, kind: str, model_id: str, key: dict) -> Path:
+        """The entry of one call of `kind` to `model_id` with request content
+        `key`; identical calls map to one file, so hits survive restarts."""
+        digest = hashlib.sha256(f"{kind}\n{model_id}\n{canonical_json(key)}".encode("utf-8"))
+        return self.cache_dir / kind / f"{digest.hexdigest()[:32]}.json"
 
-    def load(self, req: ProviderRequest) -> dict:
-        """Stored payload for the request; raises on absence or damage."""
-        path = self._path(req)
-        try:
-            payload = parse_json(path.read_bytes(), "cache entry")
-        except FileNotFoundError:
-            raise
-        except (OSError, ParseError) as e:
-            raise CacheCorruption(f"unreadable cache entry {path}: {e}") from e
+    def load(self, path: Path) -> dict:
+        """The payload stored at `path`; FileNotFoundError when there is none,
+        OSError, ParseError or ValueError when the entry is damaged."""
+        payload = parse_json(path.read_bytes(), "cache entry")
         if not isinstance(payload, dict):
-            raise CacheCorruption(f"cache entry {path} is not an object")
+            raise ValueError("cache entry is not an object")
         return payload
 
-    def store(self, req: ProviderRequest, payload: dict) -> None:
-        path = self._path(req)
+    def store(self, path: Path, payload: dict) -> None:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_atomic(path, canonical_json(payload))
         except OSError as e:
             raise CacheDirUnwritable(f"cannot write cache entry {path}: {e}") from e
 
-    def fetch(
-        self, req: ProviderRequest, invoke: Callable[[], dict], decode: Callable[[dict], Any]
-    ) -> Any:
-        """Hit decodes the stored payload; miss invokes, stores, decodes."""
-        return self.fetch_many([req], lambda _misses: [invoke()], decode)[0]
-
     def fetch_many(
         self,
-        reqs: list[ProviderRequest],
+        kind: str,
+        model_id: str,
+        keys: list[dict],
         invoke_many: Callable[[list[int]], list[dict]],
         decode: Callable[[dict], Any],
     ) -> list:
-        """Decoded payloads for `reqs`, in order.
+        """Decoded payloads of the calls `keys` describe, in order.
 
-        Hits are read here, one at a time. The misses, given as their
-        positions in `reqs`, go to `invoke_many` in one call, which
-        returns their payloads in the same order; each is stored under
-        its own key. A key repeated within the batch is fetched once
-        and its repeats count as hits, as they would one call at a time.
+        Hits are read here, one at a time; a damaged entry is a logged
+        miss. The misses, given as their positions in `keys`, go to
+        `invoke_many` in one call, which returns their payloads in the
+        same order; each is stored in its own entry. A key repeated
+        within the batch is fetched once and its repeats count as hits,
+        as they would one call at a time.
         """
-        results: list = [None] * len(reqs)
+        paths = [self.path(kind, model_id, key) for key in keys]
+        results: list = [None] * len(keys)
         misses: list[int] = []
-        missing_keys: set[str] = set()
-        for i, req in enumerate(reqs):
-            if req.cache_key in missing_keys:
+        missing: set[str] = set()  # by file name: a str hashes far faster than a Path
+        for i, path in enumerate(paths):
+            if path.name in missing:
                 continue
             try:
-                results[i] = decode(self.load(req))
+                results[i] = decode(self.load(path))
                 continue
             except FileNotFoundError:
                 pass
-            except CacheCorruption as e:
-                logger.warning("treating corrupted cache entry as a miss: %s", e)
-            except (KeyError, TypeError, ValueError, MalformedProviderResponse) as e:
-                logger.warning("treating undecodable cache entry %s as a miss: %r", self._path(req), e)
-            missing_keys.add(req.cache_key)
+            except (OSError, KeyError, TypeError, ValueError, MalformedProviderResponse) as e:
+                logger.warning("treating undecodable cache entry %s as a miss: %r", path, e)
+            missing.add(path.name)
             misses.append(i)
         with self._lock:
-            self.hits += len(reqs) - len(misses)
+            self.hits += len(keys) - len(misses)
             self.misses += len(misses)
         if not misses:
             return results
         fetched = {}
         for i, payload in zip(misses, invoke_many(misses), strict=True):
-            self.store(reqs[i], payload)
-            fetched[reqs[i].cache_key] = payload
+            self.store(paths[i], payload)
+            fetched[paths[i].name] = payload
         return [
-            decode(fetched[req.cache_key]) if req.cache_key in fetched else value
-            for req, value in zip(reqs, results)
+            decode(fetched[path.name]) if path.name in fetched else value
+            for path, value in zip(paths, results)
         ]
 
     def stats(self) -> dict:
@@ -150,22 +143,19 @@ class CachedCandidateGenerator(_Cached, CandidateGenerator):
     def generate_views(
         self, items: list[tuple[Viewpoint, str]], cfg: GenerationConfig
     ) -> list[list[CandidateDescription]]:
-        reqs = [
-            make_request(
-                "generate_candidates",
+        return self.cache.fetch_many(
+            "generate_candidates",
+            self.model_id,
+            [
                 {
                     "view": view.value,
                     "image_ref": image_ref,
                     "temperature": cfg.temperature,
                     "n": cfg.num_candidates,
                     "phase": "integration",  # in every key written, so kept for the hits
-                },
-                self.model_id,
-            )
-            for view, image_ref in items
-        ]
-        return self.cache.fetch_many(
-            reqs,
+                }
+                for view, image_ref in items
+            ],
             lambda misses: [
                 {"candidates": [
                     {"text": c.text, "token_logprobs": list(c.token_logprobs)} for c in candidates
@@ -182,9 +172,10 @@ class CachedEmbedder(_Cached, TextEmbedder, ImageEmbedder, CloudEmbedder):
 
     def _fetch_many(self, kind: str, field: str, items: list, embed_many) -> list:
         """Embeddings of `items`, each keyed as `{field: item}`; misses go to `embed_many`."""
-        reqs = [make_request(kind, {field: item}, self.model_id) for item in items]
         return self.cache.fetch_many(
-            reqs,
+            kind,
+            self.model_id,
+            [{field: item} for item in items],
             lambda misses: [_vector_to_doc(v) for v in embed_many([items[i] for i in misses])],
             _vector_from_doc,
         )
@@ -197,10 +188,9 @@ class CachedEmbedder(_Cached, TextEmbedder, ImageEmbedder, CloudEmbedder):
 
     def embed_cloud(self, cloud: PointCloud) -> EmbeddingVector:
         # key by coordinate digest: stable, and keeps keys small
-        req = make_request("embed_cloud", {"digest": cloud_digest(cloud)}, self.model_id)
-        return self.cache.fetch(
-            req, lambda: _vector_to_doc(self.inner.embed_cloud(cloud)), _vector_from_doc
-        )
+        return self._fetch_many(
+            "embed_cloud", "digest", [cloud_digest(cloud)], lambda _: [self.inner.embed_cloud(cloud)]
+        )[0]
 
 
 def wrap_with_cache(providers: ProviderSet, cache: ResponseCache) -> ProviderSet:

@@ -33,6 +33,8 @@ IMAGE_NOISE = 0.1
 CLOUD_NOISE = 0.3
 # a generated candidate's quality is drawn uniformly from this range
 QUALITY_RANGE = (0.55, 0.95)
+# the share of candidates that name another concept than the image's
+HALLUCINATION_RATE = 0.15
 
 # Concept vocabulary used by the demo corpus and the default mock stack.
 DEFAULT_CONCEPTS = (
@@ -150,11 +152,8 @@ class MockCandidateGenerator(CandidateGenerator):
     generator, so repeated calls are byte-identical.
     """
 
-    def __init__(
-        self, seed: int = 0, hallucination_rate: float = 0.15, missing_logprob_rate: float = 0.0
-    ):
+    def __init__(self, seed: int = 0, missing_logprob_rate: float = 0.0):
         self.seed = seed
-        self.hallucination_rate = hallucination_rate
         self.missing_logprob_rate = missing_logprob_rate
         self.model_id = f"mock:generator:seed={seed}"
         self.calls = 0
@@ -181,7 +180,7 @@ class MockCandidateGenerator(CandidateGenerator):
             for _ in range(cfg.num_candidates):
                 quality = float(rng.uniform(*QUALITY_RANGE))
                 subject = concept
-                if float(rng.random()) < self.hallucination_rate:
+                if float(rng.random()) < HALLUCINATION_RATE:
                     others = [c for c in DEFAULT_CONCEPTS if c != concept]
                     subject = others[int(rng.integers(len(others)))]
                     quality *= 0.6  # hallucinations read as less certain

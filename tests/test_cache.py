@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import stat
 import sys
 import threading
@@ -11,17 +12,23 @@ import threading
 import numpy as np
 import pytest
 
-from viewfuse.errors import CacheCorruption, CacheDirUnwritable
+from viewfuse.errors import CacheDirUnwritable
 from viewfuse.model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
-from viewfuse.providers import GenerationConfig, TextEmbedder, make_request
+from viewfuse.providers import GenerationConfig, TextEmbedder
 from viewfuse.providers.cache import CachedEmbedder, ResponseCache, wrap_with_cache
 from viewfuse.providers.mock import MockCandidateGenerator, build_mock_providers
 
 CFG = GenerationConfig(temperature=0.7, num_candidates=5)
 
 
-def req(payload=None, kind="generate"):
-    return make_request(kind, payload or {"x": 1}, "model-a")
+def entry(cache, key=None, kind="generate"):
+    """The entry file of one call of `kind` to "model-a" with request content `key`."""
+    return cache.path(kind, "model-a", key or {"x": 1})
+
+
+def fetch(cache, invoke, key=None, kind="generate"):
+    """One call through `fetch_many`; its misses go to `invoke()`."""
+    return cache.fetch_many(kind, "model-a", [key or {"x": 1}], lambda _misses: [invoke()], dict)[0]
 
 
 class FixedTextEmbedder(TextEmbedder):
@@ -44,30 +51,29 @@ def test_fetch_miss_then_hit(tmp_path):
         calls.append(1)
         return {"value": 42}
 
-    r = req()
-    assert cache.fetch(r, invoke, dict) == {"value": 42}
-    assert cache.fetch(r, invoke, dict) == {"value": 42}
+    assert fetch(cache, invoke) == {"value": 42}
+    assert fetch(cache, invoke) == {"value": 42}
     assert len(calls) == 1
     assert cache.stats() == {"hits": 1, "misses": 1}
 
 
 def test_cache_file_layout_and_readability(tmp_path):
     cache = ResponseCache(tmp_path)
-    r = req(kind="embed_text")
-    cache.fetch(r, lambda: {"v": [1.0, 2.0]}, dict)
-    path = tmp_path / "embed_text" / f"{r.cache_key}.json"
-    assert path.exists()
+    fetch(cache, lambda: {"v": [1.0, 2.0]}, kind="embed_text")
+    [path] = (tmp_path / "embed_text").iterdir()
+    assert path == entry(cache, kind="embed_text")
+    assert re.fullmatch(r"[0-9a-f]{32}\.json", path.name)
     assert json.loads(path.read_text()) == {"v": [1.0, 2.0]}
 
 
 def test_entries_are_written_compact(tmp_path):
     cache = ResponseCache(tmp_path)
-    r = req(kind="embed_text")
+    path = entry(cache, kind="embed_text")
     payload = {"values": [0.1, -2.5e-07, 1e16], "model": "mé"}
-    cache.store(r, payload)
-    text = (tmp_path / "embed_text" / f"{r.cache_key}.json").read_text(encoding="utf-8")
+    cache.store(path, payload)
+    text = path.read_text(encoding="utf-8")
     assert text == '{"model":"mé","values":[0.1,-2.5e-07,1e+16]}'
-    assert list((tmp_path / "embed_text").iterdir()) == [tmp_path / "embed_text" / f"{r.cache_key}.json"]
+    assert list((tmp_path / "embed_text").iterdir()) == [path]
 
 
 def test_entries_get_the_mode_the_umask_gives(tmp_path):
@@ -75,22 +81,22 @@ def test_entries_get_the_mode_the_umask_gives(tmp_path):
     old = os.umask(0o022)
     try:
         cache = ResponseCache(tmp_path)
-        r = req()
-        cache.store(r, {"v": 1})
+        path = entry(cache)
+        cache.store(path, {"v": 1})
     finally:
         os.umask(old)
-    assert stat.S_IMODE(cache._path(r).stat().st_mode) == 0o644
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_writers_of_one_key_do_not_collide(tmp_path):
     cache = ResponseCache(tmp_path)
-    r = req()
+    path = entry(cache)
     errors = []
 
     def work(i):
         try:
             for _ in range(50):
-                cache.store(r, {"writer": i})
+                cache.store(path, {"writer": i})
         except Exception as e:  # a thread's exception would not reach the test
             errors.append(e)
 
@@ -106,8 +112,8 @@ def test_writers_of_one_key_do_not_collide(tmp_path):
         sys.setswitchinterval(old)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert cache.load(r)["writer"] in range(8)
-    assert list((tmp_path / "generate").iterdir()) == [cache._path(r)]
+    assert cache.load(path)["writer"] in range(8)
+    assert list((tmp_path / "generate").iterdir()) == [path]
 
 
 def test_cache_keys_are_pinned(tmp_path):
@@ -135,6 +141,20 @@ def test_embedding_entry_bytes_are_pinned(tmp_path):
     )
 
 
+def test_path_key_sensitivity(tmp_path):
+    cache = ResponseCache(tmp_path)
+    p1 = cache.path("generate", "m1", {"temperature": 0.7, "n": 5})
+    p2 = cache.path("generate", "m1", {"temperature": 0.8, "n": 5})
+    p3 = cache.path("generate", "m2", {"temperature": 0.7, "n": 5})
+    p4 = cache.path("embed", "m1", {"temperature": 0.7, "n": 5})
+    assert len({p.name for p in (p1, p2, p3, p4)}) == 4
+
+
+def test_path_ignores_dict_ordering(tmp_path):
+    cache = ResponseCache(tmp_path)
+    assert cache.path("generate", "m", {"a": 1, "b": 2}) == cache.path("generate", "m", {"b": 2, "a": 1})
+
+
 def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
     providers = build_mock_providers(seed=9)
     writer = ResponseCache(tmp_path)
@@ -155,13 +175,12 @@ def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
 def test_format_1_embedding_entry_is_still_a_hit(tmp_path, indent):
     # entries written before the float64 format held the floats as JSON numbers
     expected = build_mock_providers(seed=9).text_embedder.embed_text("A mug.")
-    key = make_request("embed_text", {"text": "A mug."}, "mock:text-embedder").cache_key
-    (tmp_path / "embed_text").mkdir()
-    path = tmp_path / "embed_text" / f"{key}.json"
+    reader = ResponseCache(tmp_path)
+    path = reader.path("embed_text", "mock:text-embedder", {"text": "A mug."})
+    path.parent.mkdir()
     path.write_text(json.dumps({"values": expected.values.tolist()}, indent=indent), encoding="utf-8")
 
     backing = build_mock_providers(seed=9)
-    reader = ResponseCache(tmp_path)
     assert wrap_with_cache(backing, reader).text_embedder.embed_text("A mug.") == expected
     assert backing.text_embedder.calls == 0
     assert reader.stats() == {"hits": 1, "misses": 0}
@@ -170,9 +189,8 @@ def test_format_1_embedding_entry_is_still_a_hit(tmp_path, indent):
 @pytest.mark.parametrize("damage", [b"{broken json", b"\xff{"], ids=["broken-json", "non-utf8"])
 def test_corrupted_entry_repaired(tmp_path, damage):
     cache = ResponseCache(tmp_path)
-    r = req()
-    cache.fetch(r, lambda: {"value": 1}, dict)
-    path = tmp_path / r.kind / f"{r.cache_key}.json"
+    fetch(cache, lambda: {"value": 1})
+    path = entry(cache)
     path.write_bytes(damage)
     calls = []
 
@@ -180,7 +198,7 @@ def test_corrupted_entry_repaired(tmp_path, damage):
         calls.append(1)
         return {"value": 2}
 
-    assert cache.fetch(r, invoke, dict) == {"value": 2}
+    assert fetch(cache, invoke) == {"value": 2}
     assert calls == [1]
     assert json.loads(path.read_text()) == {"value": 2}  # entry rewritten
     assert cache.misses == 2  # corruption counted as a miss
@@ -188,11 +206,11 @@ def test_corrupted_entry_repaired(tmp_path, damage):
 
 def test_load_raises_on_corruption(tmp_path):
     cache = ResponseCache(tmp_path)
-    r = req()
-    cache.store(r, {"ok": True})
-    (tmp_path / r.kind / f"{r.cache_key}.json").write_text("[1, 2]")
-    with pytest.raises(CacheCorruption):
-        cache.load(r)
+    path = entry(cache)
+    cache.store(path, {"ok": True})
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match="not an object"):
+        cache.load(path)
 
 
 def test_store_into_unwritable_dir_raises(tmp_path):
@@ -200,13 +218,13 @@ def test_store_into_unwritable_dir_raises(tmp_path):
     blocker.write_text("a plain file where a directory must go")
     cache = ResponseCache(blocker)
     with pytest.raises(CacheDirUnwritable):
-        cache.store(req(), {"v": 1})
+        cache.store(entry(cache), {"v": 1})
 
 
 def test_distinct_payloads_get_distinct_files(tmp_path):
     cache = ResponseCache(tmp_path)
-    cache.fetch(req({"temperature": 0.7}), lambda: {"v": 1}, dict)
-    cache.fetch(req({"temperature": 0.8}), lambda: {"v": 2}, dict)
+    fetch(cache, lambda: {"v": 1}, {"temperature": 0.7})
+    fetch(cache, lambda: {"v": 2}, {"temperature": 0.8})
     files = list((tmp_path / "generate").iterdir())
     assert len(files) == 2
 
@@ -432,15 +450,15 @@ def test_undecodable_entry_is_a_logged_miss_and_rewritten(tmp_path, caplog, dama
 
 def test_counters_stay_exact_under_thread_switching(tmp_path):
     cache = ResponseCache(tmp_path)
-    reqs = [req({"i": i}) for i in range(4)]
-    for r in reqs:
-        cache.store(r, {"v": 1})
+    keys = [{"i": i} for i in range(4)]
+    for key in keys:
+        cache.store(entry(cache, key), {"v": 1})
     rounds, threads = 150, 8
 
     def work():
         for i in range(rounds):
-            cache.fetch(reqs[i % 4], lambda: {"v": 1}, dict)
-            cache.fetch_many(reqs, lambda misses: [{"v": 1}] * len(misses), dict)
+            fetch(cache, lambda: {"v": 1}, keys[i % 4])
+            cache.fetch_many("generate", "model-a", keys, lambda misses: [{"v": 1}] * len(misses), dict)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -453,7 +471,7 @@ def test_counters_stay_exact_under_thread_switching(tmp_path):
     finally:
         sys.setswitchinterval(old)
     assert not any(w.is_alive() for w in workers)
-    assert cache.stats() == {"hits": rounds * threads * (1 + len(reqs)), "misses": 0}
+    assert cache.stats() == {"hits": rounds * threads * (1 + len(keys)), "misses": 0}
 
 
 class BatchSpy:

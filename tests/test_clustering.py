@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_emb
+from test_acceptance import _closure_clusters
 from viewfuse.clustering import (
     NOISE,
     cosine_similarity,
@@ -114,6 +115,17 @@ def test_dbscan_matches_reference_on_handmade_fixtures(mk):
             for min_pts in (1, 2, 3):
                 got = dbscan_cluster(embs, eps, min_pts)
                 assert got == dbscan_reference(embs, eps, min_pts), (eps, min_pts)
+
+
+def test_dbscan_border_point_reached_from_a_later_core_stays_in_the_earlier_cluster(mk):
+    # 10 deg is within eps (6 deg) of the cores at 4 and 16 deg only, so it
+    # borders both clusters; the later one's seed finds it already claimed
+    rows = np.array([[np.cos(np.radians(a)), np.sin(np.radians(a))] for a in (0, 2, 4, 10, 16, 18, 20)])
+    embs = [mk(*row) for row in rows]
+    expected = [0, 0, 0, 0, 1, 1, 1]
+    assert dbscan_cluster(embs, 0.0055, 4) == expected
+    assert dbscan_reference(embs, 0.0055, 4) == expected
+    assert _closure_clusters(rows, 0.0055, 4) == expected
 
 
 def test_dbscan_matches_reference_on_random_fixtures():

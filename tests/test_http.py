@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -102,6 +103,14 @@ def test_substitute_template_unknown_placeholder_left_alone():
     assert out["x"] == "{unknown}"
 
 
+def test_substitute_template_passes_other_values_through():
+    # a README example sends "logprobs": true
+    template = {"logprobs": True, "max_tokens": 64, "stop": None, "n": "{n}"}
+    out = substitute_template(template, {"n": 5})
+    assert out == {"logprobs": True, "max_tokens": 64, "stop": None, "n": 5}
+    assert out["logprobs"] is True
+
+
 def test_extract_path_variants():
     doc = {"data": [{"v": 1}, {"v": 2}], "nested": {"deep": [10, 20, 30]}}
     assert extract_path(doc, "data[0].v") == 1
@@ -123,6 +132,11 @@ def test_extract_path_missing_key_raises():
         extract_path({"a": 1}, "b")
     with pytest.raises(MalformedProviderResponse):
         extract_path({"a": [1]}, "a[3]")
+
+
+def test_extract_path_map_over_a_non_list_raises():
+    with pytest.raises(MalformedProviderResponse, match=r"expected a list for \[\]"):
+        extract_path({"b": {"c": 2}}, "b[].c")
 
 
 def test_generator_happy_path(monkeypatch):
@@ -165,6 +179,17 @@ def test_generator_missing_logprobs_uses_fallback():
     cands = gen.generate_candidates(
         Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=2)
     )
+    assert all(c.token_logprobs == () for c in cands)
+    assert all(c.raw_confidence == 1.0 for c in cands)
+
+
+def test_generator_without_a_logprobs_path_reads_no_logprobs():
+    # "logprobs_path": null, for an endpoint whose logprobs are not to be used
+    config = replace(GEN_CONFIG, logprobs_path=None)
+    session = FakeSession(gen_response(["a", "b"], [[-0.1, -0.2], [-3.0]]))
+    gen = HttpCandidateGenerator(config, session=session, sleep=lambda s: None)
+    cands = gen.generate_candidates(Viewpoint.FRONT, "i.png", GenerationConfig(num_candidates=2))
+    assert [c.text for c in cands] == ["a", "b"]
     assert all(c.token_logprobs == () for c in cands)
     assert all(c.raw_confidence == 1.0 for c in cands)
 
@@ -671,6 +696,29 @@ def test_timeout_is_retried_with_backoff(loopback):
     assert vec.values.tolist() == [4.0, 1.0]
     assert slept == [1.0]
     assert len(server.requests) == 2
+
+
+def test_a_kept_connection_takes_the_timeout_of_each_role(loopback):
+    # two roles on one host share the calling thread's connection; the
+    # second one's shorter timeout must reach the socket the first opened
+    def stall_second(handler, index, body):
+        if index == 1:
+            time.sleep(1.0)
+        answer_embedding(handler, index, body)
+
+    server = loopback(stall_second)
+    patient = loopback_embedder(server, sleep=refuse_to_sleep, timeout=30.0)
+    slept = []
+    hasty = HttpEmbedder(replace(patient.config, timeout=0.2), session=patient.session, sleep=slept.append)
+    try:
+        patient.embed_text("first")
+        vec = hasty.embed_text("late")
+    finally:
+        patient.session.close()
+    assert vec.values.tolist() == [4.0, 1.0]
+    assert slept == [1.0]  # timed out after 0.2 s, not 30 s
+    assert len(server.requests) == 3
+    assert server.connections == 2
 
 
 def test_redirect_is_not_followed(loopback):

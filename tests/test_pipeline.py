@@ -47,7 +47,8 @@ from viewfuse.pipeline import (
     stable_seed,
 )
 from viewfuse.providers import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder
-from viewfuse.providers import ProviderSet, make_request
+from viewfuse.providers import ProviderSet
+from viewfuse.providers.cache import ResponseCache
 from viewfuse.providers.mock import build_mock_providers
 from viewfuse.synthesis import assemble_global
 
@@ -724,8 +725,7 @@ def _rerun_with_an_edited_embedding_entry(corpus, tmp_path, caplog, fault, entry
     cfg = PipelineConfig(seed=42, cache_dir=str(tmp_path / "cache"))
     run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "clean")
     [ref] = [m.view_images[Viewpoint.TOP] for m in load_manifests(corpus) if m.object_id == "obj_001"]
-    key = make_request("embed_image", {"image_ref": ref}, "mock:image-embedder").cache_key
-    entry = tmp_path / "cache" / "embed_image" / f"{key}.json"
+    entry = ResponseCache(tmp_path / "cache").path("embed_image", "mock:image-embedder", {"image_ref": ref})
     values = np.frombuffer(base64.b64decode(json.loads(entry.read_text())["f64"]), dtype="<f8").tolist()
     entry.write_text(DEEP_JSON if edit is None else json.dumps(entry_doc(edit(values))))
 
@@ -738,7 +738,7 @@ def _rerun_with_an_edited_embedding_entry(corpus, tmp_path, caplog, fault, entry
         assert (summary["failed"], summary["cache"]["misses"]) == (0, 1)
         assert _records(tmp_path / "warm") == _records(tmp_path / "clean")
         [warning] = [r.getMessage() for r in caplog.records if "as a miss" in r.getMessage()]
-        assert f"{key}.json" in warning
+        assert entry.name in warning
 
 
 @pytest.mark.parametrize("fault", REPLY_FAULTS)

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+import viewfuse.providers.mock as mock
 from viewfuse.clustering import cosine_similarity
 from viewfuse.errors import MalformedProviderResponse, MissingLogprobs
 from viewfuse.model import PointCloud, Viewpoint
 from viewfuse.providers import (
+    CandidateGenerator,
+    CloudEmbedder,
     GenerationConfig,
+    ImageEmbedder,
+    TextEmbedder,
     cloud_digest,
-    make_request,
     resolve_candidates,
 )
 from viewfuse.providers.mock import (
+    DEFAULT_CONCEPTS,
     ConceptSpace,
     MockCandidateGenerator,
     MockCloudEmbedder,
@@ -67,6 +72,36 @@ def test_text_embedder_deterministic_and_counts_calls():
     v2 = emb.embed_text("A mug.")
     assert v1 == v2
     assert emb.calls == 2
+
+
+def test_text_naming_no_concept_embeds_off_every_anchor():
+    space = ConceptSpace(dim=256)
+    vec = MockTextEmbedder(space).embed_text("A sculpted figure on a plinth.")
+    assert vec == space.off_anchor("text:a sculpted figure on a plinth.")
+    assert max(abs(float(vec.values @ space.anchor(c))) for c in DEFAULT_CONCEPTS) < 0.3
+
+
+# role base class -> its one-item call
+ONE_ITEM_CALLS = {
+    "generator": (
+        CandidateGenerator,
+        lambda p: p.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG),
+    ),
+    "text": (TextEmbedder, lambda p: p.embed_text("A mug.")),
+    "image": (ImageEmbedder, lambda p: p.embed_image("mug__o__front.png")),
+    "cloud": (CloudEmbedder, lambda p: p.embed_cloud(PointCloud([[0.0, 0.0, 1.0]]))),
+}
+
+
+@pytest.mark.parametrize("role", ONE_ITEM_CALLS)
+def test_a_role_without_its_batch_method_raises_not_implemented(role):
+    base, call = ONE_ITEM_CALLS[role]
+
+    class Bare(base):
+        model_id = "bare"
+
+    with pytest.raises(NotImplementedError):
+        call(Bare())
 
 
 def test_batches_equal_the_per_item_map_and_count_per_item():
@@ -146,15 +181,17 @@ def test_generator_respects_view_and_candidate_count():
     assert all("top" in c.text for c in cands)
 
 
-def test_generator_without_hallucination_mentions_the_concept():
-    cands = MockCandidateGenerator(seed=0, hallucination_rate=0.0).generate_candidates(
+def test_generator_without_hallucination_mentions_the_concept(monkeypatch):
+    monkeypatch.setattr(mock, "HALLUCINATION_RATE", 0.0)
+    cands = MockCandidateGenerator(seed=0).generate_candidates(
         Viewpoint.FRONT, "kettle__o__front.png", CFG
     )
     assert all("kettle" in c.text for c in cands)
 
 
-def test_generator_full_hallucination_swaps_the_subject():
-    cands = MockCandidateGenerator(seed=0, hallucination_rate=1.0).generate_candidates(
+def test_generator_full_hallucination_swaps_the_subject(monkeypatch):
+    monkeypatch.setattr(mock, "HALLUCINATION_RATE", 1.0)
+    cands = MockCandidateGenerator(seed=0).generate_candidates(
         Viewpoint.FRONT, "kettle__o__front.png", CFG
     )
     assert all("kettle" not in c.text for c in cands)
@@ -186,20 +223,6 @@ def test_resolve_drafts_empty_logprob_tuple_rejected():
 def test_resolve_drafts_text_must_be_a_non_empty_string(text):
     with pytest.raises(MalformedProviderResponse, match="not a list of non-empty strings$"):
         resolve_candidates(["a mug", text], [[-1.0], None], 2)
-
-
-def test_make_request_key_sensitivity():
-    k1 = make_request("generate", {"temperature": 0.7, "n": 5}, "m1").cache_key
-    k2 = make_request("generate", {"temperature": 0.8, "n": 5}, "m1").cache_key
-    k3 = make_request("generate", {"temperature": 0.7, "n": 5}, "m2").cache_key
-    k4 = make_request("embed", {"temperature": 0.7, "n": 5}, "m1").cache_key
-    assert len({k1, k2, k3, k4}) == 4
-
-
-def test_make_request_key_ignores_dict_ordering():
-    k1 = make_request("generate", {"a": 1, "b": 2}, "m").cache_key
-    k2 = make_request("generate", {"b": 2, "a": 1}, "m").cache_key
-    assert k1 == k2
 
 
 def test_build_mock_providers_shares_one_concept_space():

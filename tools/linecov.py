@@ -2,17 +2,20 @@
 
     PYTHONPATH=src:tools python -m pytest -q -p linecov
 
-After the run it prints `executable N missed M` and each missed line as
-`file:line`. It uses only the standard library: `sys.settrace` and
-`threading.settrace` record the lines run on every thread, and a line
-counts as executable when a code object compiled from the source maps an
-instruction to it (`co_lines()`). It writes no file. Lines run in a
-child process are not seen. `co_lines()` differs between Python
-versions, so compare counts only on one version.
+After the run it prints `executable N missed M skipped K` and each
+missed line as `file:line`, and a run that missed a line fails. It uses
+only the standard library: `sys.settrace` and `threading.settrace`
+record the lines run on every thread, and a line counts as executable
+when a code object compiled from the source maps an instruction to it
+(`co_lines()`). It writes no file. Lines run in a child process are not
+seen; a line that ends in `# linecov: not run in-process (<reason>)` is
+skipped. `co_lines()` differs between Python versions, so compare counts
+only on one version.
 """
 
 import importlib.util
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -25,6 +28,8 @@ SOURCES = {str(p): p for p in sorted(PACKAGE_DIR.rglob("*.py"))}
 
 _hits: dict[str, set[int]] = {name: set() for name in SOURCES}
 _known: dict[str, str | None] = {}  # co_filename -> its key in SOURCES, or None
+_SKIP = re.compile(r"# linecov: not run in-process \(.+\)$")
+_report: list[str] = []
 
 
 def _local(frame, event, arg):
@@ -60,19 +65,27 @@ def pytest_load_initial_conftests(early_config, parser, args):
     sys.settrace(_global)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
-    executable = missed = 0
-    report = []
+    executable = missed = skipped = 0
+    lost_lines = []
     for name, path in SOURCES.items():
+        text = path.read_text(encoding="utf-8").splitlines()
         lines = executable_lines(path)
-        lost = sorted(lines - _hits[name])
-        executable += len(lines)
+        marked = {line for line in lines if _SKIP.search(text[line - 1])}
+        lost = sorted(lines - marked - _hits[name])
+        executable += len(lines) - len(marked)
         missed += len(lost)
+        skipped += len(marked)
         rel = path.relative_to(PACKAGE_DIR.parent)
-        report.extend(f"{rel}:{line}" for line in lost)
+        lost_lines.extend(f"{rel}:{line}" for line in lost)
+    _report[:] = [f"executable {executable} missed {missed} skipped {skipped}", *lost_lines]
+    if missed and session.exitstatus == pytest.ExitCode.OK:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", "line coverage")
-    terminalreporter.write_line(f"executable {executable} missed {missed}")
-    for line in report:
+    for line in _report:
         terminalreporter.write_line(line)
