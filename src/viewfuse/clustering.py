@@ -7,29 +7,15 @@ Noise points are kept as their own singletons rather than dropped, so
 a unique-but-correct description always survives deduplication.
 """
 
-import numpy as np
-
-from .model import EmbeddingVector
+from .model import EmbeddingVector, dot
 
 # Cluster id assigned to points that are not density-reachable from any core.
 NOISE = -1
 
 
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine of two vectors of one dimension."""
-    va, vb = a.values, b.values
-    na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
-    return float(np.dot(va, vb) / (na * nb))
-
-
-def _cosine_distance_matrix(embeddings: list[EmbeddingVector]) -> np.ndarray:
-    mat = np.stack([e.values for e in embeddings])
-    norms = np.linalg.norm(mat, axis=1)
-    unit = mat / norms[:, None]
-    sim = unit @ unit.T
-    # numeric noise can push self-similarity past 1
-    np.clip(sim, -1.0, 1.0, out=sim)
-    return 1.0 - sim
+    """Cosine of two vectors of one dimension; symmetric bit for bit."""
+    return dot(a.values, b.values) / (a.norm * b.norm)
 
 
 def dbscan_cluster(
@@ -46,8 +32,11 @@ def dbscan_cluster(
     PipelineConfig holds them.
     """
     n = len(embeddings)
-    dist = _cosine_distance_matrix(embeddings)
-    neighbors = [np.flatnonzero(dist[i] <= eps).tolist() for i in range(n)]
+    # a cosine a few ulp below -1 counts as -1, so no distance exceeds 2
+    neighbors = [
+        [j for j, b in enumerate(embeddings) if 1.0 - max(cosine_similarity(a, b), -1.0) <= eps]
+        for a in embeddings
+    ]
     is_core = [len(nb) >= min_pts for nb in neighbors]
 
     labels = [NOISE] * n

@@ -11,6 +11,7 @@ live here too.
 import enum
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -40,6 +41,12 @@ def stable_seed(*parts) -> int:
     """
     joined = "\x1f".join(str(p) for p in parts).encode("utf-8", "surrogateescape")
     return int.from_bytes(hashlib.sha256(joined).digest()[:8], "big")
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The one inner product: numpy's pairwise add.reduce sums in the same
+    order on every CPU, where a BLAS product takes its kernel's order."""
+    return float(np.add.reduce(a * b))
 
 
 def canonical_json(doc) -> str:
@@ -178,11 +185,12 @@ class PointCloud:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    """Fixed-length real vector from an embedding provider, held as a
-    read-only float64 copy of the array-like it is built from; its squared
-    norm, which the stages divide by, is a finite normal float."""
+    """Fixed-length real vector from an embedding provider: `values`, a
+    read-only float64 copy of the array-like it is built from, and its
+    `norm`, which the stages divide by; its square is a finite normal float."""
 
     values: np.ndarray
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -192,13 +200,14 @@ class EmbeddingVector:
         if arr.ndim != 1 or arr.size == 0:
             raise ParseError(f"embedding must be a non-empty 1-D vector, got shape {arr.shape}")
         with np.errstate(over="ignore"):  # an overflow is rejected just below
-            squared_norm = np.dot(arr, arr)
-        if not np.isfinite(squared_norm):
+            squared_norm = dot(arr, arr)
+        if not math.isfinite(squared_norm):
             raise ParseError("embedding has a non-finite component or its norm overflows")
         if squared_norm < np.finfo(np.float64).tiny:
             raise ZeroNormVector("an embedding of zero or subnormal norm has no direction to compare")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "norm", math.sqrt(squared_norm))
 
     @property
     def dim(self) -> int:

@@ -17,12 +17,13 @@ Conventions the mocks rely on:
     entry embeds away from every anchor, so the object gets flagged.
 """
 
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 
-from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, stable_seed
+from ..model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint, dot, stable_seed
 from . import CandidateGenerator, CloudEmbedder, GenerationConfig, ImageEmbedder, TextEmbedder
 from . import ProviderSet, cloud_digest, resolve_candidates
 
@@ -64,14 +65,14 @@ class ConceptSpace:
 
     def _unit(self, key: str) -> np.ndarray:
         v = np.random.default_rng(stable_seed(key)).standard_normal(self.dim)
-        return v / np.linalg.norm(v)
+        return v / math.sqrt(dot(v, v))
 
     def anchor(self, slug: str) -> np.ndarray:
         return self._unit(f"anchor:{slug}")
 
     def noisy_anchor(self, slug: str, noise_key: str, scale: float) -> EmbeddingVector:
         v = self.anchor(slug) + scale * self._unit(f"noise:{noise_key}")
-        return EmbeddingVector(v / np.linalg.norm(v))
+        return EmbeddingVector(v / math.sqrt(dot(v, v)))
 
     def off_anchor(self, noise_key: str) -> EmbeddingVector:
         return EmbeddingVector(self._unit(f"noise:{noise_key}"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from viewfuse.clustering import (
     dbscan_cluster,
     select_canonical,
 )
+from viewfuse.model import dot
 
 
 def dbscan_reference(embeddings, eps, min_pts):
@@ -180,6 +183,35 @@ def test_dbscan_labels_form_contiguous_ids(rows):
     labels = dbscan_cluster([make_emb(*r) for r in rows], 0.15, 2)
     ids = sorted({c for c in labels if c != NOISE})
     assert ids == list(range(len(ids)))
+
+
+components = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@st.composite
+def embeddings_of_one_dim(draw, count):
+    dim = draw(st.integers(min_value=1, max_value=64))
+    # a vector whose squared norm underflows is a ZeroNormVector
+    vector = st.lists(components, min_size=dim, max_size=dim).filter(
+        lambda v: max(map(abs, v)) > 1e-100
+    )
+    return [make_emb(*draw(vector)) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings_of_one_dim(2))
+def test_cosine_is_symmetric_bit_for_bit(pair):
+    # so DBSCAN's neighbour relation is symmetric too
+    a, b = pair
+    assert cosine_similarity(a, b) == cosine_similarity(b, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(embeddings_of_one_dim(1))
+def test_cosine_divides_by_the_norm_of_the_one_product(single):
+    [a] = single
+    assert a.norm == math.sqrt(dot(a.values, a.values))
+    assert abs(cosine_similarity(a, a) - 1.0) <= 4 * math.ulp(1.0)
 
 
 def test_select_canonical_highest_score_per_cluster(mk):

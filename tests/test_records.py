@@ -3,8 +3,11 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -120,12 +123,14 @@ def test_v2_record_is_compact_with_no_trace(corpus):
 
 
 # sha256 of every view's replayed trace on the module's 4-object corpus
-# (seed 42, 30 rounds), as a JSON list of [object_id, view, rows]; taken
-# when the engine still kept the trace in memory and equal to it there
+# (seed 42, 30 rounds), as a JSON list of [object_id, view, rows]; the
+# replay equalled the engine's in-memory trace while it kept one, and was
+# re-pinned when every cosine became one product summed the same way on
+# every CPU
 REPLAYED_TRACES_SHA256 = {
-    "ucb1": "47c3773db808d221c9816d3b0c23485f074477fdf0811b2c2381a007bfb09707",
-    "epsilon_greedy": "7fe9c2f2b13dd032bb1826b78e30ede330cc0a1168fc27d97af2ff74a5dd31ee",
-    "thompson": "adff38279eeb5ffba3ad551c33df080b10e602a8acaf2357a13af4960be3a2c3",
+    "ucb1": "9844e5eb6c013b68db114be19e23fa0045447202f13d80de548f4ab34b618f92",
+    "epsilon_greedy": "93b5c33f6a7ed9f9f49e269b725901b4cee8e5aa7e6c44a1852edf2359845b14",
+    "thompson": "4edce72073b82bdce0b5745c7141372f9cde83d2d8bcf98c0cb85433eefa1c7c",
 }
 
 
@@ -133,22 +138,22 @@ REPLAYED_TRACES_SHA256 = {
 # default rounds), per strategy
 RECORD_FILES_SHA256 = {
     "ucb1": {
-        "obj_000.json": "37d23d81e0da9191499256dd7cf2d795afa8fd177991853e9723ba781a3113a2",
-        "obj_001.json": "57ffbc8e1ecdfbba7be142b316d64b43e73aed1582da17c1b78c06418d6a9623",
-        "obj_002.json": "05704e2d151f654ccf5d06f3622e06d617bbc073e35ac13faf9195b764c2654c",
-        "obj_003.json": "482ace6a9df83724d7613471fe83389afdf4d7f1e34249a70d7fce4953505aff",
+        "obj_000.json": "8bb363802ee6527f3b2c74e34ef279930fa2ea1839edf6cc156c882e6cceb352",
+        "obj_001.json": "7e3007d4832adbfea06a2a3dfb97e7a634bf45d162ddb32c95fd30e657b95d81",
+        "obj_002.json": "18d3f03743d777d227d9823f85b2f0c6a0d36d06391813696f600c6eae0af2a5",
+        "obj_003.json": "fd9361b69aec91d76a75a3ff7b5f5c2d6186a139b35768c21bbe521bba22dcc2",
     },
     "epsilon_greedy": {
-        "obj_000.json": "2d6680d87481709ca3f1a469dec3424c9ecbfd788ef0280d4e88efa0023e966e",
-        "obj_001.json": "3e5c8c64d3b8626637bf8ab652d481232ef4c33a138223789fb74285a740edc3",
-        "obj_002.json": "8ac81932746b2037b4be7c1e21a11905a420773f3af4174052a0ff3870a2e059",
-        "obj_003.json": "8f5c107c21a4ddce649c6d400558c7429ac582c07ffc91f36ee682c69e29c465",
+        "obj_000.json": "aa8987bba11ff10adcdb8d56ec8b8ed252c8f50187dbb4dbcae9841e47561dce",
+        "obj_001.json": "8eee08d500896d16c1d42c860602b9db4aad4553dd44b7e51af08748072a0e2b",
+        "obj_002.json": "7417614576ade98af8b6609aa606d79311bf9e2dff5f14f43db2b3d22dc21ee3",
+        "obj_003.json": "96231505cb63dd763a2afe112cbeb46f9d03c7401d8b95321407ff604945103b",
     },
     "thompson": {
-        "obj_000.json": "be51035633daa62e1b7d2d8b615111fef61590fea92b19ed616cdde5f69d8cad",
-        "obj_001.json": "1d48e5d68739594235777cc0e29e2e73a9fb6bf45395b368c493722b2d591638",
-        "obj_002.json": "96746a6a68a87759c2af99112746c937153f11d61ba2899079e380b948362927",
-        "obj_003.json": "962b076acdf5bb542bbad3b66c07faa597ddefb0de32db21a18cb34465f9ab0c",
+        "obj_000.json": "f6b552b1e9dfc41984aa450b5c4bc3960bb3c9490913dc532fde396b3d6be772",
+        "obj_001.json": "c87e730d78194a23b1d0f45d0645c190ed723f5df435cc97e9ee3fd600e7deb3",
+        "obj_002.json": "b570e1fb09c5c7c022f09d56b2d0355d037cc06c2c40f8cf811ca864664d0492",
+        "obj_003.json": "7f8853f4c89802c3d667843fbf7cfa23fac214cb2454f9180897b246c9752de2",
     },
 }
 
@@ -198,6 +203,50 @@ def test_replay_refuses_a_config_the_record_was_not_made_with(corpus):
     for other in (replace(cfg, rounds=49), replace(cfg, strategy="ucb1")):
         with pytest.raises(ConfigError, match="not made with this configuration"):
             replay_bandit(view_doc, other, record.object_id)
+
+
+# what a run could take from the CPU it runs on: the kernel OpenBLAS picks
+# and numpy's SIMD dispatch; {} leaves both to the machine
+CPU_OVERRIDES = [
+    {},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+    {"OPENBLAS_CORETYPE": "Nehalem"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+]
+
+RUN_AND_HASH = """
+import hashlib, sys
+from pathlib import Path
+from viewfuse.config import PipelineConfig
+from viewfuse.pipeline import run_corpus
+out = Path(sys.argv[2])
+run_corpus(Path(sys.argv[1]), PipelineConfig(seed=42), mock=True, out_dir=out)
+h = hashlib.sha256()
+for path in [*sorted((out / "records").iterdir()), out / "flagged.jsonl"]:
+    h.update(path.name.encode() + b"\\n" + path.read_bytes())
+print("sha256:", h.hexdigest())
+"""
+
+
+def test_record_bytes_do_not_depend_on_the_cpu(corpus, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    inherited = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+    env = {k: v for k, v in os.environ.items() if k not in inherited}
+    env.update(PYTHONPATH=str(root / "src"), OPENBLAS_VERBOSE="2")
+    cores, digests = set(), {}
+    for i, override in enumerate(CPU_OVERRIDES):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_AND_HASH, str(corpus), str(tmp_path / f"out{i}")],
+            env={**env, **override}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        cores.update(line for line in proc.stderr.splitlines() if line.startswith("Core:"))
+        [digests[str(override)]] = proc.stdout.splitlines()
+    if len(cores) < 2:
+        pytest.skip(f"OpenBLAS ran {sorted(cores) or 'no reported'} kernel under every "
+                    "OPENBLAS_CORETYPE: it was built without DYNAMIC_ARCH")
+    assert len(set(digests.values())) == 1, digests
 
 
 # ---- streamed, crash-safe writes ------------------------------------------------
