@@ -27,6 +27,7 @@ own connection.
 
 import base64
 import concurrent.futures
+import contextlib
 import http.client
 import json
 import logging
@@ -59,6 +60,8 @@ FANOUT_WIDTH = 8
 _FANOUT = concurrent.futures.ThreadPoolExecutor(
     max_workers=FANOUT_WIDTH, thread_name_prefix="viewfuse-http"
 )
+# below the 6 connections Linux queues at Python's default listen backlog of 5
+OPENING_LIMIT = 4
 
 _PLACEHOLDER = re.compile(r"^\{(\w+)\}$")
 # an HTTP header name (an RFC 9110 token), and a header value that
@@ -233,7 +236,10 @@ class KeepAliveSession:
     """POSTs JSON over stdlib http.client.
 
     Each thread keeps one connection alive per (scheme, host, port), so
-    the fan-out threads never share a connection and need no lock.
+    the fan-out threads never share a connection and need no lock. A
+    request on a new connection waits while OPENING_LIMIT others wait
+    for their first reply: the kernel drops the SYN of a connection
+    beyond a server's full listen queue, and it retries only after 1 s.
     Proxies are read from the environment once, when the session is
     made: `http_proxy` and `https_proxy` name a plain HTTP proxy, HTTPS
     reaches its host through a CONNECT tunnel, and `no_proxy` lists the
@@ -248,6 +254,7 @@ class KeepAliveSession:
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
         self._tls: ssl.SSLContext | None = None
+        self._opening = threading.BoundedSemaphore(OPENING_LIMIT)
 
     def post(self, url: str, json=None, headers=None, timeout=None) -> _Reply:
         """Send `json` as the body, as json.dumps(allow_nan=False) in UTF-8.
@@ -265,15 +272,16 @@ class KeepAliveSession:
             conn.timeout = timeout
             if conn.sock is not None:
                 conn.sock.settimeout(timeout)
-        for fresh in (conn.sock is None, True):
-            try:
-                conn.request("POST", route.target, body, headers or {})
-                response = conn.getresponse()
-                break
-            except BaseException as e:
-                conn.close()
-                if fresh or not isinstance(e, ConnectionError):
-                    raise
+        with self._opening if conn.sock is None else contextlib.nullcontext():
+            for fresh in (conn.sock is None, True):
+                try:
+                    conn.request("POST", route.target, body, headers or {})
+                    response = conn.getresponse()
+                    break
+                except BaseException as e:
+                    conn.close()
+                    if fresh or not isinstance(e, ConnectionError):
+                        raise
         try:
             data = response.read()
         except BaseException:

@@ -23,6 +23,7 @@ from viewfuse.model import Viewpoint
 from viewfuse.providers import GenerationConfig
 from viewfuse.providers.http import (
     FANOUT_WIDTH,
+    OPENING_LIMIT,
     RETRY_AFTER_CAP_SECONDS,
     HttpCandidateGenerator,
     HttpEmbedder,
@@ -601,6 +602,32 @@ def test_fanned_out_batches_reuse_one_connection_per_slot(loopback):
     assert len(server.requests) == 1 + 4 * FANOUT_WIDTH
     assert 1 < after_first <= FANOUT_WIDTH + 1
     assert server.connections == after_first  # the second batch opened none
+
+
+def test_a_session_waits_on_at_most_opening_limit_new_connections(loopback):
+    lock = threading.Lock()
+    unanswered, peak = [0], [0]
+
+    def slow_first(handler, index, body):
+        if not hasattr(handler, "answered"):  # this connection's first request
+            with lock:
+                unanswered[0] += 1
+                peak[0] = max(peak[0], unanswered[0])
+            time.sleep(0.1)  # every fan-out slot wants a connection before one is answered
+            with lock:
+                unanswered[0] -= 1
+        handler.answered = True
+        answer_embedding(handler, index, body)
+
+    server = loopback(slow_first)
+    emb = loopback_embedder(server, sleep=refuse_to_sleep)
+    try:
+        vecs = emb.embed_texts(TEXTS[: 2 * FANOUT_WIDTH])
+    finally:
+        emb.session.close()
+    assert [v.values[0] for v in vecs] == [float(len(t)) for t in TEXTS[: 2 * FANOUT_WIDTH]]
+    assert peak[0] == OPENING_LIMIT < FANOUT_WIDTH
+    assert OPENING_LIMIT < server.connections <= FANOUT_WIDTH
 
 
 def test_connection_closed_while_idle_is_reopened_without_backoff(loopback):
