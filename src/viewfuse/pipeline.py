@@ -545,8 +545,8 @@ def run_corpus(
     summary's `phase_seconds` splits the run's wall time into `ingest`
     (manifests, clouds, providers and the output directory), `annotate`
     (waiting for the next record) and `write` (records and the flagged
-    export). The HTTP providers' connections are closed when the
-    objects are done, on an error too. `cfg` is validated first, so a
+    export). The HTTP providers' connections and the cache's segments
+    are closed when the objects are done, on an error too. `cfg` is validated first, so a
     field changed after construction still raises ConfigError.
     """
     cfg.validate()
@@ -572,5 +572,7 @@ def run_corpus(
         records.close()
         if not mock:  # the four HTTP roles share one session
             backing.generator.session.close()
+        if cache is not None:
+            cache.close()
     clock.lap("annotate")
     return write_outputs(tally, out_dir, cfg, clock, cache=cache)

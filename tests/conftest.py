@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,30 @@ from viewfuse.model import EmbeddingVector
 
 def make_emb(*values) -> EmbeddingVector:
     return EmbeddingVector(np.asarray(values, dtype=np.float64))
+
+
+def segment_lines(kind_dir: Path) -> list[tuple[str, bytes]]:
+    """(entry name, payload) of each whole line of the cache segments in
+    `kind_dir`, in the order a reader indexes them."""
+    lines = []
+    for seg in sorted(kind_dir.glob("*.seg")):
+        for line in seg.read_bytes().split(b"\n")[:-1]:
+            name, _, payload = line.partition(b"\t")
+            lines.append((name.decode("ascii"), payload))
+    return lines
+
+
+def segment_entries(kind_dir: Path) -> dict[str, bytes]:
+    """Entry name -> payload of the cache segments in `kind_dir`; a later line wins."""
+    return dict(segment_lines(kind_dir))
+
+
+def rewrite_entry(kind_dir: Path, name: str, payload: bytes) -> None:
+    """Give every line of entry `name` in `kind_dir`'s segments the payload `payload`."""
+    for seg in kind_dir.glob("*.seg"):
+        lines = seg.read_bytes().split(b"\n")
+        prefix = name.encode("ascii") + b"\t"
+        seg.write_bytes(b"\n".join(prefix + payload if line.startswith(prefix) else line for line in lines))
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import rewrite_entry, segment_entries, segment_lines
 from viewfuse.errors import CacheDirUnwritable
 from viewfuse.model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 from viewfuse.providers import GenerationConfig, TextEmbedder
@@ -22,13 +23,28 @@ CFG = GenerationConfig(temperature=0.7, num_candidates=5)
 
 
 def entry(cache, key=None, kind="generate"):
-    """The entry file of one call of `kind` to "model-a" with request content `key`."""
+    """The entry address of one call of `kind` to "model-a" with request content `key`."""
     return cache.path(kind, "model-a", key or {"x": 1})
 
 
 def fetch(cache, invoke, key=None, kind="generate"):
     """One call through `fetch_many`; its misses go to `invoke()`."""
-    return cache.fetch_many(kind, "model-a", [key or {"x": 1}], lambda _misses: [invoke()], dict)[0]
+    return cache.fetch_many(kind, "model-a", [key or {"x": 1}], lambda _misses: [invoke()], dict, dict)[0]
+
+
+def stored(path):
+    """The payload bytes a reader finds for the entry at `path`."""
+    return segment_entries(path.parent)[path.stem]
+
+
+def as_per_entry_file(path):
+    """Move the entry at `path` out of its segments into the per-entry
+    file an earlier version wrote; returns its payload bytes."""
+    payload = stored(path)
+    for seg in path.parent.glob("*.seg"):
+        seg.unlink()
+    path.write_bytes(payload)
+    return payload
 
 
 class FixedTextEmbedder(TextEmbedder):
@@ -60,10 +76,13 @@ def test_fetch_miss_then_hit(tmp_path):
 def test_cache_file_layout_and_readability(tmp_path):
     cache = ResponseCache(tmp_path)
     fetch(cache, lambda: {"v": [1.0, 2.0]}, kind="embed_text")
-    [path] = (tmp_path / "embed_text").iterdir()
-    assert path == entry(cache, kind="embed_text")
-    assert re.fullmatch(r"[0-9a-f]{32}\.json", path.name)
-    assert json.loads(path.read_text()) == {"v": [1.0, 2.0]}
+    [seg] = (tmp_path / "embed_text").iterdir()
+    assert re.fullmatch(rf"\d{{20}}-{os.getpid()}-[0-9a-f]{{16}}\.seg", seg.name)
+    [(name, payload)] = segment_lines(seg.parent)
+    assert f"{name}.json" == entry(cache, kind="embed_text").name
+    assert re.fullmatch(r"[0-9a-f]{32}", name)
+    assert seg.read_bytes() == f"{name}\t".encode() + payload + b"\n"
+    assert json.loads(payload) == {"v": [1.0, 2.0]}
 
 
 def test_entries_are_written_compact(tmp_path):
@@ -71,9 +90,9 @@ def test_entries_are_written_compact(tmp_path):
     path = entry(cache, kind="embed_text")
     payload = {"values": [0.1, -2.5e-07, 1e16], "model": "mé"}
     cache.store(path, payload)
-    text = path.read_text(encoding="utf-8")
+    text = stored(path).decode("utf-8")
     assert text == '{"model":"mé","values":[0.1,-2.5e-07,1e+16]}'
-    assert list((tmp_path / "embed_text").iterdir()) == [path]
+    assert [p.suffix for p in (tmp_path / "embed_text").iterdir()] == [".seg"]
 
 
 def test_entries_get_the_mode_the_umask_gives(tmp_path):
@@ -85,7 +104,8 @@ def test_entries_get_the_mode_the_umask_gives(tmp_path):
         cache.store(path, {"v": 1})
     finally:
         os.umask(old)
-    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    [seg] = path.parent.iterdir()
+    assert stat.S_IMODE(seg.stat().st_mode) == 0o644
 
 
 def test_writers_of_one_key_do_not_collide(tmp_path):
@@ -113,7 +133,11 @@ def test_writers_of_one_key_do_not_collide(tmp_path):
     assert not any(w.is_alive() for w in workers)
     assert errors == []
     assert cache.load(path)["writer"] in range(8)
-    assert list((tmp_path / "generate").iterdir()) == [path]
+    [seg] = (tmp_path / "generate").iterdir()
+    lines = segment_lines(seg.parent)
+    assert len(lines) == 400 and seg.read_bytes().count(b"\n") == 400
+    assert {name for name, _ in lines} == {path.stem}
+    assert {json.loads(payload)["writer"] for _, payload in lines} == set(range(8))
 
 
 def test_cache_keys_are_pinned(tmp_path):
@@ -123,7 +147,7 @@ def test_cache_keys_are_pinned(tmp_path):
     providers.text_embedder.embed_text("A mug.")
     providers.image_embedder.embed_image("mug__o__front.png")
     providers.cloud_embedder.embed_cloud(PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
-    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")) == [
+    assert sorted(f"{d.name}/{name}.json" for d in tmp_path.iterdir() for name, _ in segment_lines(d)) == [
         "embed_cloud/26b32553760d576b99694024d987cfb3.json",
         "embed_image/ba054bd66202ad3884994cb8a0df1e8e.json",
         "embed_text/ea31baa47760a54657e8f1ad5ae7773e.json",
@@ -134,9 +158,9 @@ def test_cache_keys_are_pinned(tmp_path):
 def test_embedding_entry_bytes_are_pinned(tmp_path):
     # an entry written by another version reads back only while this format holds
     CachedEmbedder(FixedTextEmbedder([-0.0, 5e-324, 0.1, 1 / 3]), ResponseCache(tmp_path)).embed_text("t")
-    [path] = (tmp_path / "embed_text").iterdir()
-    assert path.read_bytes().startswith(b'{"f64":"')
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+    [(_name, payload)] = segment_lines(tmp_path / "embed_text")
+    assert payload.startswith(b'{"f64":"')
+    assert hashlib.sha256(payload).hexdigest() == (
         "cf3077e4f728327091e446c1b7481dd459de53322a76d63115c2435000105bb1"
     )
 
@@ -159,8 +183,8 @@ def test_indented_entry_from_an_older_cache_is_still_a_hit(tmp_path):
     providers = build_mock_providers(seed=9)
     writer = ResponseCache(tmp_path)
     expected = wrap_with_cache(providers, writer).text_embedder.embed_text("A mug.")
-    [path] = (tmp_path / "embed_text").iterdir()
-    compact = path.read_text(encoding="utf-8")
+    path = writer.path("embed_text", "mock:text-embedder", {"text": "A mug."})
+    compact = as_per_entry_file(path).decode("utf-8")
     path.write_text(json.dumps(json.loads(compact), sort_keys=True, indent=2), encoding="utf-8")
     assert "\n  " in path.read_text(encoding="utf-8")
 
@@ -188,10 +212,11 @@ def test_format_1_embedding_entry_is_still_a_hit(tmp_path, indent):
 
 @pytest.mark.parametrize("damage", [b"{broken json", b"\xff{"], ids=["broken-json", "non-utf8"])
 def test_corrupted_entry_repaired(tmp_path, damage):
-    cache = ResponseCache(tmp_path)
-    fetch(cache, lambda: {"value": 1})
-    path = entry(cache)
-    path.write_bytes(damage)
+    writer = ResponseCache(tmp_path)
+    fetch(writer, lambda: {"value": 1})
+    path = entry(writer)
+    rewrite_entry(path.parent, path.stem, damage)
+    cache = ResponseCache(tmp_path)  # the segment is read as it is when a kind is first used
     calls = []
 
     def invoke():
@@ -200,17 +225,17 @@ def test_corrupted_entry_repaired(tmp_path, damage):
 
     assert fetch(cache, invoke) == {"value": 2}
     assert calls == [1]
-    assert json.loads(path.read_text()) == {"value": 2}  # entry rewritten
-    assert cache.misses == 2  # corruption counted as a miss
+    assert json.loads(stored(path)) == {"value": 2}  # entry rewritten
+    assert writer.misses + cache.misses == 2  # corruption counted as a miss
 
 
 def test_load_raises_on_corruption(tmp_path):
-    cache = ResponseCache(tmp_path)
-    path = entry(cache)
-    cache.store(path, {"ok": True})
-    path.write_text("[1, 2]")
+    writer = ResponseCache(tmp_path)
+    path = entry(writer)
+    writer.store(path, {"ok": True})
+    rewrite_entry(path.parent, path.stem, b"[1, 2]")
     with pytest.raises(ValueError, match="not an object"):
-        cache.load(path)
+        ResponseCache(tmp_path).load(path)
 
 
 def test_store_into_unwritable_dir_raises(tmp_path):
@@ -225,8 +250,8 @@ def test_distinct_payloads_get_distinct_files(tmp_path):
     cache = ResponseCache(tmp_path)
     fetch(cache, lambda: {"v": 1}, {"temperature": 0.7})
     fetch(cache, lambda: {"v": 2}, {"temperature": 0.8})
-    files = list((tmp_path / "generate").iterdir())
-    assert len(files) == 2
+    entries = segment_entries(tmp_path / "generate")
+    assert len(entries) == 2
 
 
 def test_cached_generator_roundtrips_candidates(tmp_path):
@@ -243,8 +268,8 @@ def test_cached_generator_roundtrips_candidates(tmp_path):
 def test_generate_entry_holds_only_texts_and_logprobs(tmp_path):
     cached = wrap_with_cache(build_mock_providers(seed=9), ResponseCache(tmp_path))
     cached.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", CFG)
-    [path] = (tmp_path / "generate_candidates").iterdir()
-    candidates = json.loads(path.read_text(encoding="utf-8"))["candidates"]
+    [(_name, payload)] = segment_lines(tmp_path / "generate_candidates")
+    candidates = json.loads(payload)["candidates"]
     assert len(candidates) == CFG.num_candidates
     assert all(set(c) == {"text", "token_logprobs"} for c in candidates)
 
@@ -277,7 +302,9 @@ def test_generate_entry_in_the_older_format_is_still_a_hit(tmp_path):
         return providers.generator.generate_candidates(Viewpoint.FRONT, "mug__o__front.png", cfg)
 
     call(wrap_with_cache(build_mock_providers(seed=9), ResponseCache(tmp_path)))
-    [path] = (tmp_path / "generate_candidates").iterdir()
+    [(name, _payload)] = segment_lines(tmp_path / "generate_candidates")
+    path = tmp_path / "generate_candidates" / f"{name}.json"
+    as_per_entry_file(path)
     path.write_text(
         '{"candidates":['
         '{"index":0,"raw_confidence":1.0,"text":"A red mug.","token_logprobs":[-0.5,-1.5],'
@@ -433,19 +460,19 @@ DAMAGES = {
 def test_undecodable_entry_is_a_logged_miss_and_rewritten(tmp_path, caplog, damage):
     kind, damaged = DAMAGES[damage]
     backing = build_mock_providers(seed=9)
-    cache = ResponseCache(tmp_path)
+    writer = ResponseCache(tmp_path)
     slot, call = CALLS[kind]
-    expected = call(wrap_with_cache(backing, cache))
-    [path] = (tmp_path / kind).iterdir()
-    stored = path.read_text()
-    path.write_text(json.dumps(damaged(json.loads(stored))))
+    expected = call(wrap_with_cache(backing, writer))
+    [(name, good)] = segment_lines(tmp_path / kind)
+    rewrite_entry(tmp_path / kind, name, json.dumps(damaged(json.loads(good))).encode())
+    cache = ResponseCache(tmp_path)  # the segment is read as it is when a kind is first used
 
     with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
         assert call(wrap_with_cache(backing, cache)) == expected
     assert "undecodable cache entry" in caplog.text
     assert getattr(backing, slot).calls == 2
-    assert cache.stats() == {"hits": 0, "misses": 2}
-    assert path.read_text() == stored
+    assert {k: writer.stats()[k] + cache.stats()[k] for k in ("hits", "misses")} == {"hits": 0, "misses": 2}
+    assert segment_entries(tmp_path / kind)[name] == good
 
 
 def test_counters_stay_exact_under_thread_switching(tmp_path):
@@ -458,7 +485,7 @@ def test_counters_stay_exact_under_thread_switching(tmp_path):
     def work():
         for i in range(rounds):
             fetch(cache, lambda: {"v": 1}, keys[i % 4])
-            cache.fetch_many("generate", "model-a", keys, lambda misses: [{"v": 1}] * len(misses), dict)
+            cache.fetch_many("generate", "model-a", keys, lambda misses: [{"v": 1}] * len(misses), dict, dict)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -488,7 +515,8 @@ class BatchSpy:
 
 
 def _tree(root):
-    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+    """(kind, entry name) -> payload of every entry under `root`."""
+    return {(d.name, name): payload for d in root.iterdir() for name, payload in segment_entries(d).items()}
 
 
 def test_cached_batch_sends_only_misses_in_one_call(tmp_path):
@@ -523,3 +551,131 @@ def test_cached_generate_views_equals_one_call_per_view(tmp_path):
     assert batched.generator.generate_views(items, CFG) == expected
     assert batched.generator.generate_views(items, CFG) == expected
     assert _tree(tmp_path / "batch") == _tree(tmp_path / "single")
+
+
+def test_format_1_entry_is_copied_forward_once_as_f64(tmp_path):
+    expected = build_mock_providers(seed=9).text_embedder.embed_text("A mug.")
+    first = ResponseCache(tmp_path)
+    path = first.path("embed_text", "mock:text-embedder", {"text": "A mug."})
+    path.parent.mkdir()
+    path.write_text(json.dumps({"values": expected.values.tolist()}), encoding="utf-8")
+    assert wrap_with_cache(build_mock_providers(seed=9), first).text_embedder.embed_text("A mug.") == expected
+    assert first.stats() == {"hits": 1, "misses": 0}
+
+    path.write_bytes(b"{broken json")  # so a hit below can only come from the segment
+    backing = build_mock_providers(seed=9)
+    second = ResponseCache(tmp_path)
+    hit = wrap_with_cache(backing, second).text_embedder.embed_text("A mug.")
+    assert hit.values.tobytes() == expected.values.tobytes()
+    assert backing.text_embedder.calls == 0
+    assert second.stats() == {"hits": 1, "misses": 0}
+    [(name, payload)] = segment_lines(path.parent)  # appended once, by the first reader
+    assert name == path.stem
+    assert json.loads(payload).keys() == {"f64"}
+
+
+def test_a_per_entry_hit_is_served_where_it_cannot_be_copied_forward(tmp_path, caplog, monkeypatch):
+    # a cache_dir that another account wrote: this one may read it, not add to it
+    writer = ResponseCache(tmp_path)
+    fetch(writer, lambda: {"value": 1})
+    path = entry(writer)
+    as_per_entry_file(path)
+    real_open = os.open
+
+    def no_create(file, flags, *args):
+        if flags & os.O_CREAT:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, flags, *args)
+
+    monkeypatch.setattr(os, "open", no_create)
+    cache = ResponseCache(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        assert fetch(cache, lambda: {"value": 2}) == {"value": 1}
+    assert "without copying it forward" in caplog.text
+    assert cache.stats() == {"hits": 1, "misses": 0}
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_a_segment_cut_mid_line_keeps_every_earlier_entry(tmp_path, caplog):
+    # what a kill in the middle of an append leaves
+    keys = [{"i": i} for i in range(3)]
+    writer = ResponseCache(tmp_path)
+    for i, key in enumerate(keys):
+        fetch(writer, lambda i=i: {"value": i}, key)
+    [seg] = (tmp_path / "generate").iterdir()
+    seg.write_bytes(seg.read_bytes()[:-6])
+
+    cache = ResponseCache(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        assert [fetch(cache, lambda: {"value": -1}, key) for key in keys[:2]] == [{"value": 0}, {"value": 1}]
+        assert fetch(cache, lambda: {"value": 2}, keys[2]) == {"value": 2}
+    assert f"cache segment {seg} ends in a torn line" in caplog.text
+    assert cache.stats() == {"hits": 2, "misses": 1}
+    path = entry(cache, keys[2])
+    assert json.loads(stored(path)) == {"value": 2}  # appended to the reader's own segment
+    assert len(list(path.parent.iterdir())) == 2
+
+    reader = ResponseCache(tmp_path)
+    assert [fetch(reader, lambda: {"value": -1}, key) for key in keys] == [{"value": i} for i in range(3)]
+    assert reader.stats() == {"hits": 3, "misses": 0}
+
+
+def test_a_damaged_line_is_superseded_by_a_newer_segment(tmp_path, caplog):
+    writer = ResponseCache(tmp_path)
+    fetch(writer, lambda: {"value": 1})
+    path = entry(writer)
+    rewrite_entry(path.parent, path.stem, b"{broken json")
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        assert fetch(ResponseCache(tmp_path), lambda: {"value": 1}) == {"value": 1}
+    assert "undecodable cache entry" in caplog.text
+    assert len(list(path.parent.iterdir())) == 2
+    assert [payload for _, payload in segment_lines(path.parent)] == [b"{broken json", b'{"value":1}']
+
+    reader = ResponseCache(tmp_path)
+    assert fetch(reader, lambda: {"value": -1}) == {"value": 1}
+    assert reader.stats() == {"hits": 1, "misses": 0}
+
+
+def test_lines_and_files_that_name_no_entry_are_not_indexed(tmp_path, caplog):
+    kind_dir = tmp_path / "generate"
+    kind_dir.mkdir()
+    name = entry(ResponseCache(tmp_path)).stem
+    (kind_dir / "notes.json").write_text("{}")
+    (kind_dir / f"{'z' * 32}.json").write_text('{"value": 0}')
+    (kind_dir / "0-1-0.seg").write_bytes(
+        b"no tab on this line\n"
+        + b"z" * 32 + b'\t{"value":0}\n'
+        + name.encode() + b' {"value":0}\n'
+        + name.encode() + b'\t{"value":1}\n'
+    )
+    cache = ResponseCache(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        assert fetch(cache, lambda: {"value": -1}) == {"value": 1}
+        assert fetch(cache, lambda: {"value": 2}, {"x": 2}) == {"value": 2}
+    assert cache.stats() == {"hits": 1, "misses": 1}
+    assert caplog.text.count("names no entry") == 3
+
+
+def test_a_short_write_raises_and_leaves_a_line_no_reader_indexes(tmp_path, monkeypatch):
+    # what a full disk does to an append
+    cache = ResponseCache(tmp_path)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[: len(data) // 2]))
+    with pytest.raises(CacheDirUnwritable, match="wrote"):
+        fetch(cache, lambda: {"value": 1})
+    monkeypatch.setattr(os, "write", real_write)
+    reader = ResponseCache(tmp_path)
+    assert fetch(reader, lambda: {"value": 2}) == {"value": 2}
+    assert reader.stats() == {"hits": 0, "misses": 1}
+
+
+def test_close_releases_the_segments_and_a_later_store_opens_a_new_one(tmp_path):
+    cache = ResponseCache(tmp_path)
+    fetch(cache, lambda: {"value": 1})
+    cache.close()
+    assert fetch(cache, lambda: {"value": -1}) == {"value": 1}  # the closed segment is read again
+    fetch(cache, lambda: {"value": 2}, {"x": 2})
+    cache.close()
+    assert len(list((tmp_path / "generate").iterdir())) == 2
+    assert cache.stats() == {"hits": 1, "misses": 2}
+    assert fetch(ResponseCache(tmp_path), lambda: {"value": -1}, {"x": 2}) == {"value": 2}

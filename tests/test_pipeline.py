@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rewrite_entry, segment_entries
 import viewfuse.pipeline as pipeline
 from viewfuse.confidence import compute_raw_confidence
 from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig
@@ -726,8 +727,10 @@ def _rerun_with_an_edited_embedding_entry(corpus, tmp_path, caplog, fault, entry
     run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "clean")
     [ref] = [m.view_images[Viewpoint.TOP] for m in load_manifests(corpus) if m.object_id == "obj_001"]
     entry = ResponseCache(tmp_path / "cache").path("embed_image", "mock:image-embedder", {"image_ref": ref})
-    values = np.frombuffer(base64.b64decode(json.loads(entry.read_text())["f64"]), dtype="<f8").tolist()
-    entry.write_text(DEEP_JSON if edit is None else json.dumps(entry_doc(edit(values))))
+    stored = segment_entries(entry.parent)[entry.stem]
+    values = np.frombuffer(base64.b64decode(json.loads(stored)["f64"]), dtype="<f8").tolist()
+    damaged = DEEP_JSON if edit is None else json.dumps(entry_doc(edit(values)))
+    rewrite_entry(entry.parent, entry.stem, damaged.encode())
 
     with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
         summary = run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "warm")
@@ -1170,3 +1173,59 @@ def test_bench_imports_and_patches_resolve():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_fresh_cache_run_leaves_one_segment_per_kind(tmp_path):
+    # 44 provider calls per object; one file per entry left 351 files here
+    build_demo_corpus(tmp_path / "corpus", num_objects=8, seed=1)
+    cfg = PipelineConfig(seed=42, workers=2, cache_dir=str(tmp_path / "cache"))
+    summary = run_corpus(tmp_path / "corpus", cfg, mock=True, out_dir=tmp_path / "out")
+    assert summary["cache"]["hits"] + summary["cache"]["misses"] == 8 * 44
+    files = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+    assert sorted(p.parent.name for p in files) == ["embed_cloud", "embed_image", "embed_text", "generate_candidates"]
+    assert {p.suffix for p in files} == {".seg"}
+
+
+# each child waits for the other, then runs the corpus into one cache_dir
+SHARED_CACHE_RUN = """
+import sys, time
+from pathlib import Path
+from viewfuse.config import PipelineConfig
+from viewfuse.pipeline import run_corpus
+corpus, cache, out, ready, peer = sys.argv[1:]
+Path(ready).touch()
+deadline = time.monotonic() + 60
+while not Path(peer).exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+run_corpus(corpus, PipelineConfig(seed=42, cache_dir=cache), mock=True, out_dir=out)
+"""
+
+
+def test_two_runs_at_once_share_a_cache_dir(corpus, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    cache = tmp_path / "cache"
+    ready = [tmp_path / "ready-0", tmp_path / "ready-1"]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", SHARED_CACHE_RUN, str(corpus), str(cache), str(tmp_path / f"run-{i}"),
+             str(ready[i]), str(ready[1 - i])],
+            env=env,
+        )
+        for i in range(2)
+    ]
+    assert [child.wait(timeout=120) for child in children] == [0, 0]
+    writers = {}
+    for seg in cache.rglob("*.seg"):
+        writers.setdefault(int(seg.name.split("-")[1]), []).append(seg.parent.name)
+    assert writers.keys() == {child.pid for child in children}  # each wrote segments of its own
+    assert all(len(kinds) == len(set(kinds)) for kinds in writers.values())
+    assert _records(tmp_path / "run-0") == _records(tmp_path / "run-1")
+
+    cfg = PipelineConfig(seed=42, cache_dir=str(cache))
+    warm = run_corpus(corpus, cfg, mock=True, out_dir=tmp_path / "warm")
+    cold_cfg = replace(cfg, cache_dir=str(tmp_path / "cold-cache"))
+    cold = run_corpus(corpus, cold_cfg, mock=True, out_dir=tmp_path / "cold")
+    assert warm["cache"]["misses"] == 0
+    assert cold["cache"]["hits"] == 0
+    assert _records(tmp_path / "warm") == _records(tmp_path / "cold")
