@@ -86,6 +86,7 @@ class ResponseCache:
         self._fds: dict[int, int] = {}  # open descriptors, by segment number
         self._writers: dict[str, int] = {}  # kind -> number of the segment this process appends to
         self._ends: dict[int, int] = {}  # bytes written so far, by segment number
+        self._read_only: set[str] = set()  # kinds whose per-entry hits could not be copied forward
         weakref.finalize(self, _close_all, self._fds)
 
     def path(self, kind: str, model_id: str, key: dict) -> Path:
@@ -122,6 +123,7 @@ class ResponseCache:
                 written = os.write(self._fds[number], line)
                 self._ends[number] = offset + written
                 if written != len(line):
+                    del self._writers[kind]  # the next line goes to a new segment, not onto the torn one
                     raise OSError(errno.ENOSPC, f"wrote {written} of {len(line)} bytes")
                 entries[bytes.fromhex(path.stem)] = _locate(
                     number, offset + NAME_DIGITS + 1, len(line) - NAME_DIGITS - 2
@@ -151,13 +153,19 @@ class ResponseCache:
             names = sorted(e.name for e in os.scandir(kind_dir))
         except FileNotFoundError:
             return entries
+        except OSError as e:
+            logger.warning("cannot list cache directory %s; its entries are misses: %s", kind_dir, e)
+            return entries
         for name in names:
             stem, _, suffix = name.rpartition(".")
             if suffix == "json" and (key := _key(stem)) is not None:
                 entries.setdefault(key, None)  # a segment line of the name wins, before or after
             elif suffix == SEGMENT_SUFFIX[1:]:
                 self._segments.append(kind_dir / name)
-                self._scan_segment(entries, len(self._segments) - 1)
+                try:
+                    self._scan_segment(entries, len(self._segments) - 1)
+                except OSError as e:  # lines indexed before the error stay; a read of one fails as a miss
+                    logger.warning("cannot read cache segment %s; its entries are misses: %s", kind_dir / name, e)
         return entries
 
     def _scan_segment(self, entries: dict[bytes, int | None], number: int) -> None:
@@ -259,11 +267,16 @@ class ResponseCache:
 
     def _copy_forward(self, path: Path, payload: dict) -> None:
         """Append a hit from a per-entry file; a cache that only its writer
-        may write to stays readable."""
+        may write to stays readable, and after one failed append the hits
+        of that kind are served as they are."""
+        kind = path.parent.name
+        if kind in self._read_only:
+            return
         try:
             self.store(path, payload)
         except CacheDirUnwritable as e:
-            logger.warning("serving cache entry %s without copying it forward: %s", path, e)
+            self._read_only.add(kind)
+            logger.warning("serving per-entry hits of %s without copying them forward: %s", kind, e)
 
     def stats(self) -> dict:
         with self._lock:

@@ -16,6 +16,7 @@ from conftest import rewrite_entry, segment_entries, segment_lines
 from viewfuse.errors import CacheDirUnwritable
 from viewfuse.model import CandidateDescription, EmbeddingVector, PointCloud, Viewpoint
 from viewfuse.providers import GenerationConfig, TextEmbedder
+from viewfuse.providers import cache as cache_module
 from viewfuse.providers.cache import CachedEmbedder, ResponseCache, wrap_with_cache
 from viewfuse.providers.mock import MockCandidateGenerator, build_mock_providers
 
@@ -577,23 +578,33 @@ def test_format_1_entry_is_copied_forward_once_as_f64(tmp_path):
 def test_a_per_entry_hit_is_served_where_it_cannot_be_copied_forward(tmp_path, caplog, monkeypatch):
     # a cache_dir that another account wrote: this one may read it, not add to it
     writer = ResponseCache(tmp_path)
-    fetch(writer, lambda: {"value": 1})
-    path = entry(writer)
-    as_per_entry_file(path)
+    keys = [{"x": 1}, {"x": 2}]
+    for i, key in enumerate(keys):
+        fetch(writer, lambda i=i: {"value": i}, key)
+    paths = [entry(writer, key) for key in keys]
+    payloads = [stored(path) for path in paths]
+    for seg in paths[0].parent.glob("*.seg"):
+        seg.unlink()
+    for path, payload in zip(paths, payloads):
+        path.write_bytes(payload)
     real_open = os.open
+    creates = []
 
     def no_create(file, flags, *args):
         if flags & os.O_CREAT:
+            creates.append(file)
             raise PermissionError(13, "Permission denied", str(file))
         return real_open(file, flags, *args)
 
     monkeypatch.setattr(os, "open", no_create)
     cache = ResponseCache(tmp_path)
     with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
-        assert fetch(cache, lambda: {"value": 2}) == {"value": 1}
-    assert "without copying it forward" in caplog.text
-    assert cache.stats() == {"hits": 1, "misses": 0}
-    assert [p.name for p in path.parent.iterdir()] == [path.name]
+        hits = [fetch(cache, lambda: {"value": -1}, key) for key in keys + keys]
+    assert hits == [{"value": 0}, {"value": 1}] * 2
+    assert caplog.text.count("without copying them forward") == 1
+    assert len(creates) == 1
+    assert cache.stats() == {"hits": 4, "misses": 0}
+    assert sorted(p.name for p in paths[0].parent.iterdir()) == sorted(path.name for path in paths)
 
 
 def test_a_segment_cut_mid_line_keeps_every_earlier_entry(tmp_path, caplog):
@@ -664,9 +675,49 @@ def test_a_short_write_raises_and_leaves_a_line_no_reader_indexes(tmp_path, monk
     with pytest.raises(CacheDirUnwritable, match="wrote"):
         fetch(cache, lambda: {"value": 1})
     monkeypatch.setattr(os, "write", real_write)
+    assert fetch(cache, lambda: {"value": 3}, {"x": 3}) == {"value": 3}  # into a new segment
+    assert len(list((tmp_path / "generate").iterdir())) == 2
     reader = ResponseCache(tmp_path)
     assert fetch(reader, lambda: {"value": 2}) == {"value": 2}
-    assert reader.stats() == {"hits": 0, "misses": 1}
+    assert fetch(reader, lambda: {"value": -1}, {"x": 3}) == {"value": 3}
+    assert reader.stats() == {"hits": 1, "misses": 1}
+
+
+def test_a_segment_that_cannot_be_read_is_skipped(tmp_path, caplog, monkeypatch):
+    # another account's segment of mode 0600, and a directory named like a segment
+    keys = [{"i": i} for i in range(3)]
+    for i, key in enumerate(keys):  # one segment each
+        fetch(ResponseCache(tmp_path), lambda i=i: {"value": i}, key)
+    kind_dir = tmp_path / "generate"
+    (kind_dir / f"{0:020d}-0-{0:016x}.seg").mkdir()
+    locked = sorted(kind_dir.glob("*.seg"))[2]  # the segment that holds keys[1]
+    real_open = open
+
+    def no_read(file, *args, **kwargs):
+        if file == locked:
+            raise PermissionError(13, "Permission denied", str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cache_module, "open", no_read, raising=False)
+    cache = ResponseCache(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        assert [fetch(cache, lambda: {"value": 1}, key) for key in keys] == [{"value": i} for i in range(3)]
+    assert caplog.text.count("cannot read cache segment") == 2
+    assert cache.stats() == {"hits": 2, "misses": 1}
+
+    reader = ResponseCache(tmp_path)  # keys[1] is now in the segment the cache above appended to
+    assert [fetch(reader, lambda: {"value": -1}, key) for key in keys] == [{"value": i} for i in range(3)]
+    assert reader.stats() == {"hits": 3, "misses": 0}
+
+
+def test_a_kind_that_cannot_be_listed_is_all_misses(tmp_path, caplog):
+    (tmp_path / "generate").write_text("not a directory")
+    cache = ResponseCache(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="viewfuse.providers.cache"):
+        with pytest.raises(CacheDirUnwritable):
+            fetch(cache, lambda: {"value": 1})
+    assert caplog.text.count("cannot list cache directory") == 1
+    assert cache.stats() == {"hits": 0, "misses": 1}
 
 
 def test_close_releases_the_segments_and_a_later_store_opens_a_new_one(tmp_path):

@@ -1,11 +1,11 @@
 """Paired benchmark runs of two git revisions, and the table that compares them.
 
-    python3 tools/ab.py --base REV [--head REV] --workload W [--seed S] [--pairs N] [--seconds T]
+    python3 tools/ab.py --base REV [--head REV] --workload W [--seed S] [--pairs N]
 
 Each revision is written out with `git archive` into its own directory
 under --work (by default a new temporary directory outside the
 repository). Then `python3 bench/run.py --workload W --seed S --seconds
-T --trace 0` runs in each copy, N pairs, the side that runs first
+25 --trace 0` runs in each copy, N pairs, the side that runs first
 alternating from pair to pair. For each end-to-end metric of the base's
 BENCHMARK.json it prints each side's median [quartiles], the pairs the
 head won (ties count for neither), the base's IQR, whether a gain is
@@ -34,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SECONDS = 25  # the run length every comparison uses, so runs of different A/Bs compare
 
 
 def archive(rev: str, dest: Path) -> Path:
@@ -44,10 +45,10 @@ def archive(rev: str, dest: Path) -> Path:
     return dest
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
     """The last stdout line of one benchmark run in `tree`, as JSON."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"{tree.name}: bench/run.py exited {proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -88,7 +89,6 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=25)
     ap.add_argument("--work", type=Path, help="new directory for the copies (default: a temporary one)")
     args = ap.parse_args(argv)
 
@@ -99,11 +99,11 @@ def main(argv: list[str] | None = None) -> None:
     for pair in range(args.pairs):
         order = ("base", "head") if pair % 2 == 0 else ("head", "base")
         for side in order:
-            runs[side].append(bench_run(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(bench_run(sides[side], args.workload, args.seed))
         print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
     (work / "runs.json").write_text(json.dumps(runs, indent=1), encoding="utf-8")
 
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds} s: "
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {SECONDS} s: "
           f"base {args.base} -> head {args.head} (runs in {work / 'runs.json'})")
     for side, results in runs.items():
         bad = [r for r in results if not r["correct"] or r["failed"]]
