@@ -4,15 +4,19 @@ Unknown keys are rejected so typos fail loudly instead of silently
 running with defaults.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, ParseError
-from .model import is_json_number, parse_json, read_bytes
+from .model import canonical_json, is_json_number, parse_json, read_bytes
 
 STRATEGIES = ("ucb1", "epsilon_greedy", "thompson")
 PROVIDER_ROLES = ("generate", "embed_text", "embed_image", "embed_cloud")
+# the fields records do not depend on: how many objects run at once, where
+# replies are cached and which endpoints serve them
+UNHASHED_FIELDS = ("workers", "cache_dir", "providers")
 
 # what a config file may give for a field of each annotated type, and
 # how the error names it
@@ -117,3 +121,14 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def config_sha256(cfg: PipelineConfig) -> str:
+    """sha256 hex of the canonical JSON of `cfg` without UNHASHED_FIELDS.
+
+    Two configurations with one hash give the same records from the same
+    corpus and replies; the hash does not name the models, which the
+    cache keys do.
+    """
+    doc = {k: v for k, v in cfg.to_dict().items() if k not in UNHASHED_FIELDS}
+    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()

@@ -19,7 +19,7 @@ import logging
 import random
 import time
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,7 +37,7 @@ from .bandit import (
 )
 from .clustering import dbscan_cluster, select_canonical
 from .confidence import normalize_confidence
-from .config import PROVIDER_ROLES, PipelineConfig, typed_fields
+from .config import PROVIDER_ROLES, PipelineConfig, config_sha256, typed_fields
 from .errors import ConfigError, DimensionMismatch, DuplicateObjectId, EngineError, LengthMismatch
 from .errors import ParseError
 from .gating import flagged_record, gate
@@ -53,7 +53,7 @@ from .synthesis import assemble_global
 
 logger = logging.getLogger(__name__)
 
-RECORD_SCHEMA_VERSION = 2
+RECORD_SCHEMA_VERSION = 3
 MOCK_TRUTH_FILENAME = "mock_truth.json"
 
 
@@ -68,6 +68,9 @@ class AnnotationRecord:
     views: dict[str, dict] | None = None
     global_annotation: dict | None = None
     gating: dict | None = None
+    # config_sha256 of the run's configuration; the run sets it, so a
+    # record made outside run_pipeline and run_corpus holds None
+    config_sha256: str | None = None
 
     @classmethod
     def failed(cls, object_id: str, error: EngineError, metadata: dict | None = None):
@@ -195,7 +198,6 @@ def aggregate_object(
             docs.append({
                 "index": i,
                 "text": c.text,
-                "token_logprobs": list(c.token_logprobs),
                 "raw_confidence": c.raw_confidence,
                 "normalized_confidence": norm_confs[i],
                 "cluster_id": labels[i],
@@ -280,11 +282,19 @@ def iter_records(
             yield annotate_object(manifest, cfg, providers)
 
 
+def stamped(records: Iterable[AnnotationRecord], digest: str) -> Iterator[AnnotationRecord]:
+    """Each of `records` with its config_sha256 set to `digest`."""
+    for record in records:
+        record.config_sha256 = digest
+        yield record
+
+
 def run_pipeline(
     corpus: list[ObjectManifest], cfg: PipelineConfig, providers: ProviderSet
 ) -> list[AnnotationRecord]:
     """Annotate every manifest; output sorted by object_id."""
-    return sorted(iter_records(corpus, cfg, providers), key=lambda r: r.object_id)
+    records = stamped(iter_records(corpus, cfg, providers), config_sha256(cfg))
+    return sorted(records, key=lambda r: r.object_id)
 
 
 def record_to_doc(record: AnnotationRecord) -> dict:
@@ -292,10 +302,12 @@ def record_to_doc(record: AnnotationRecord) -> dict:
 
     Holds no wall-clock time, so identical runs produce byte-identical
     files; the run summary has the phase times.
-    The bandit's per-round trace is not kept at all (see replay_bandit).
+    The bandit's per-round trace is not kept at all (see replay_bandit),
+    nor are the token logprobs each confidence came from.
     """
     return {
         "schema_version": RECORD_SCHEMA_VERSION,
+        "config_sha256": record.config_sha256,
         "object_id": record.object_id,
         "status": record.status,
         "error": record.error,
@@ -500,13 +512,15 @@ def write_outputs(
     tally: RunTally,
     out_dir: str | Path,
     cfg: PipelineConfig,
+    digest: str,
     clock: PhaseClock,
     cache: ResponseCache | None = None,
 ) -> dict:
     """Write the flagged export and the run summary once every record is written.
 
     The flagged export is charged to `clock`'s write phase; the summary
-    cannot time its own write.
+    cannot time its own write. The summary names the record schema and
+    `digest`, the config_sha256 every record of the run holds.
     """
     out_dir = Path(out_dir)
     flagged = sorted(tally.flagged, key=lambda doc: doc["object_id"])
@@ -524,6 +538,8 @@ def write_outputs(
         "phase_seconds": {k: round(v, 6) for k, v in clock.seconds.items()},
         "cache": cache.stats() if cache is not None else None,
         "config": cfg.to_dict(),
+        "config_sha256": digest,
+        "record_schema_version": RECORD_SCHEMA_VERSION,
     }
     write_atomic(
         out_dir / "run_summary.json",
@@ -550,6 +566,7 @@ def run_corpus(
     field changed after construction still raises ConfigError.
     """
     cfg.validate()
+    digest = config_sha256(cfg)
     clock = PhaseClock("ingest", "annotate", "write")
     records_dir = Path(out_dir) / "records"
     try:  # before ingest, so a bad --out fails before any manifest is read
@@ -562,7 +579,7 @@ def run_corpus(
     tally = RunTally()
     records = iter_records(manifests, cfg, providers)
     try:
-        for record in itertools.chain(failures, records):
+        for record in stamped(itertools.chain(failures, records), digest):
             clock.lap("annotate")
             write_record(record, records_dir)
             tally.add(record)
@@ -575,4 +592,4 @@ def run_corpus(
         if cache is not None:
             cache.close()
     clock.lap("annotate")
-    return write_outputs(tally, out_dir, cfg, clock, cache=cache)
+    return write_outputs(tally, out_dir, cfg, digest, clock, cache=cache)

@@ -6,7 +6,7 @@ import pytest
 
 from viewfuse import cli, pipeline
 from viewfuse.cli import main
-from viewfuse.config import PROVIDER_ROLES
+from viewfuse.config import PROVIDER_ROLES, PipelineConfig, config_sha256
 
 
 def run(capsys, *argv):
@@ -595,3 +595,28 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_annotate_summary_names_the_record_schema_and_config_hash(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    out_dir = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 42, "rounds": 20, "workers": 2}))
+    run(capsys, "demo-corpus", "--out", str(corpus), "--objects", "3")
+    (corpus / "clouds" / "obj_001.ply").unlink()
+
+    code, out, _ = run(
+        capsys, "annotate",
+        "--corpus", str(corpus), "--config", str(config), "--mock", "--out", str(out_dir),
+    )
+
+    assert code == 0
+    summary = json.loads(out)
+    assert summary == json.loads((out_dir / "run_summary.json").read_text(encoding="utf-8"))
+    assert summary["record_schema_version"] == pipeline.RECORD_SCHEMA_VERSION == 3
+    assert summary["config_sha256"] == config_sha256(PipelineConfig.from_file(config))
+    records = [json.loads(p.read_bytes()) for p in sorted((out_dir / "records").iterdir())]
+    assert [r["status"] for r in records] == ["failed", "ok", "ok"]
+    for record in records:
+        assert record["schema_version"] == summary["record_schema_version"]
+        assert record["config_sha256"] == summary["config_sha256"]

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from viewfuse.config import PipelineConfig
+from viewfuse.config import UNHASHED_FIELDS, PipelineConfig, config_sha256
 from viewfuse.errors import ConfigError
 
 
@@ -126,3 +127,50 @@ def test_from_file_missing(tmp_path):
 def test_to_dict_roundtrips():
     cfg = PipelineConfig.from_dict({"seed": 3, "strategy": "epsilon_greedy", "epsilon": 0.2})
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# one valid value other than the default for each field a record depends on
+ENGINE_FIELD_CHANGES = {
+    "blend_ratio": 0.3,
+    "gate_threshold": 0.6,
+    "eps": 0.2,
+    "min_pts": 3,
+    "strategy": "thompson",
+    "exploration_weight": 0.7,
+    "rounds": 51,
+    "seed": 1,
+    "epsilon": 0.2,
+    "thompson_prior_alpha": 0.2,
+    "thompson_prior_beta": 2.0,
+    "num_candidates": 6,
+    "temperature": 0.8,
+    "w_fb": 1.3,
+    "point_budget": 9_999,
+}
+
+
+def test_config_sha256_of_the_defaults_is_pinned():
+    assert config_sha256(PipelineConfig()) == (
+        "5f6200a066e275b39ca8a1b3390eabd75278ad38af7b3b9e048b0a9ce1d04808"
+    )
+
+
+def test_every_field_is_either_hashed_or_named_unhashed():
+    names = {f.name for f in fields(PipelineConfig)}
+    assert set(ENGINE_FIELD_CHANGES) == names - set(UNHASHED_FIELDS)
+    assert len(ENGINE_FIELD_CHANGES) == 15
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FIELD_CHANGES))
+def test_changing_an_engine_field_changes_config_sha256(name):
+    changed = PipelineConfig(**{name: ENGINE_FIELD_CHANGES[name]})
+    assert config_sha256(changed) != config_sha256(PipelineConfig())
+
+
+@pytest.mark.parametrize("changes", [
+    {"workers": 4},
+    {"cache_dir": "cache"},
+    {"providers": {"generate": {"url": "http://127.0.0.1:1/generate"}}},
+])
+def test_workers_cache_dir_and_providers_do_not_change_config_sha256(changes):
+    assert config_sha256(PipelineConfig(**changes)) == config_sha256(PipelineConfig())

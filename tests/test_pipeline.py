@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import rewrite_entry, segment_entries
 import viewfuse.pipeline as pipeline
 from viewfuse.confidence import compute_raw_confidence
-from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig
+from viewfuse.config import PROVIDER_ROLES, STRATEGIES, PipelineConfig, config_sha256
 from viewfuse.demo import build_demo_corpus
 from viewfuse.errors import ConfigError, MalformedProviderResponse
 from viewfuse.gating import gate
@@ -248,6 +248,7 @@ def test_record_doc_excludes_wall_clock(corpus):
     # the record object holds no clock either; the run summary has the phase times
     assert [f.name for f in fields(record)] == [
         "object_id", "status", "error", "metadata", "views", "global_annotation", "gating",
+        "config_sha256",
     ]
     assert "timing" not in record_to_json(record)
     assert "seconds" not in record_to_json(record)
@@ -652,6 +653,7 @@ def test_provider_error_partway_through_an_object_fails_only_that_object(tmp_pat
     failed = json.loads((failing_dir / "obj_001.json").read_bytes())
     assert failed == {
         "schema_version": pipeline.RECORD_SCHEMA_VERSION,
+        "config_sha256": config_sha256(cfg),
         "object_id": "obj_001",
         "status": "failed",
         "error": "MalformedProviderResponse: embedding reply has no data",

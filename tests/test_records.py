@@ -1,4 +1,4 @@
-"""Record files: schema 2 layout, trace replay, ids and crash safety."""
+"""Record files: schema 3 layout, trace replay, ids and crash safety."""
 
 import hashlib
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import viewfuse.pipeline as pipeline
-from viewfuse.config import PipelineConfig
+from viewfuse.config import PipelineConfig, config_sha256
 from viewfuse.demo import build_demo_corpus
 from viewfuse.errors import ConfigError, ParseError
 from viewfuse.model import FAILURE_KEY_PREFIX, ingest_manifest
@@ -100,19 +100,19 @@ def test_ids_with_the_failure_prefix_are_rejected(tmp_path):
     assert [f.object_id for f in failures] == ["@obj_000"]
 
 
-# ---- schema 2 layout and replay -------------------------------------------------
+# ---- schema 3 layout and replay -------------------------------------------------
 
 
-def test_v2_record_is_compact_with_no_trace(corpus):
+def test_v3_record_is_compact_with_no_trace(corpus):
     cfg = PipelineConfig(seed=42)
-    [record, *_] = run_pipeline(
+    records = run_pipeline(
         load_corpus_entries(corpus, cfg)[0], cfg, build_providers(cfg, True, corpus)[0]
     )
-    text = record_to_json(record)
+    text = record_to_json(records[0])
     doc = json.loads(text)
 
-    assert RECORD_SCHEMA_VERSION == 2
-    assert doc["schema_version"] == 2
+    assert RECORD_SCHEMA_VERSION == 3
+    assert doc["schema_version"] == 3
     assert text.index("\n") == len(text) - 1
     assert text == json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
     for view, view_doc in doc["views"].items():
@@ -120,6 +120,10 @@ def test_v2_record_is_compact_with_no_trace(corpus):
         assert sorted(view_doc["bandit"]) == [
             "arm_candidate_indices", "pulls", "rounds", "selected_candidate_index", "strategy",
         ]
+        for candidate in view_doc["candidates"]:
+            assert "token_logprobs" not in candidate
+    for record in records:
+        assert json.loads(record_to_json(record))["config_sha256"] == config_sha256(cfg)
 
 
 # sha256 of every view's replayed trace on the module's 4-object corpus
@@ -138,22 +142,22 @@ REPLAYED_TRACES_SHA256 = {
 # default rounds), per strategy
 RECORD_FILES_SHA256 = {
     "ucb1": {
-        "obj_000.json": "8bb363802ee6527f3b2c74e34ef279930fa2ea1839edf6cc156c882e6cceb352",
-        "obj_001.json": "7e3007d4832adbfea06a2a3dfb97e7a634bf45d162ddb32c95fd30e657b95d81",
-        "obj_002.json": "18d3f03743d777d227d9823f85b2f0c6a0d36d06391813696f600c6eae0af2a5",
-        "obj_003.json": "fd9361b69aec91d76a75a3ff7b5f5c2d6186a139b35768c21bbe521bba22dcc2",
+        "obj_000.json": "1e702596d803efa9644c02c5cf208c0401d5fc7772e3e71fa05bafacaf559d64",
+        "obj_001.json": "eb669fcf309d612738b319dd120f0cda1fb5d2bfdad82b72109602a9e96afffa",
+        "obj_002.json": "21d8cf7eff824a72ba0af409efa9ed9c827adf2828939173aaefcef075cde52d",
+        "obj_003.json": "38356b4bff51102b85e342c4056509e2dd6b7564f30167e4468d0eb55d219f47",
     },
     "epsilon_greedy": {
-        "obj_000.json": "aa8987bba11ff10adcdb8d56ec8b8ed252c8f50187dbb4dbcae9841e47561dce",
-        "obj_001.json": "8eee08d500896d16c1d42c860602b9db4aad4553dd44b7e51af08748072a0e2b",
-        "obj_002.json": "7417614576ade98af8b6609aa606d79311bf9e2dff5f14f43db2b3d22dc21ee3",
-        "obj_003.json": "96231505cb63dd763a2afe112cbeb46f9d03c7401d8b95321407ff604945103b",
+        "obj_000.json": "82f76d711f4cc3bf15c867994da346e1d24f3b5003707cea2bc3d80b8986eba9",
+        "obj_001.json": "8a277b7c0b485e3e7b98032d3b112608bfd2cf08bbbc186f9d663019ca76d443",
+        "obj_002.json": "f86660416e9e19fa5e80aabe62bf5be892aa1333f7edfc1e1b7175d91886797c",
+        "obj_003.json": "d99749d1d1bac90c93aa696cbf35e0178267017fa2f0916e8b491422e4d2bad2",
     },
     "thompson": {
-        "obj_000.json": "f6b552b1e9dfc41984aa450b5c4bc3960bb3c9490913dc532fde396b3d6be772",
-        "obj_001.json": "c87e730d78194a23b1d0f45d0645c190ed723f5df435cc97e9ee3fd600e7deb3",
-        "obj_002.json": "b570e1fb09c5c7c022f09d56b2d0355d037cc06c2c40f8cf811ca864664d0492",
-        "obj_003.json": "7f8853f4c89802c3d667843fbf7cfa23fac214cb2454f9180897b246c9752de2",
+        "obj_000.json": "c3825181dbd8250156cc2f454b8db10c156e184060402d9be5fb19cf7377a8ac",
+        "obj_001.json": "675e4337506cebe583621a13dc486fca987a8bbd0ca0576ed1eb417a6be5399a",
+        "obj_002.json": "21555bfbfa49c55a4b263b85464cee838141190295d15e2a40931d404b27666b",
+        "obj_003.json": "265c2ad2c85ee02c50c9f1fddc722d26ce7aec973f2197f15223b955e7f0697b",
     },
 }
 

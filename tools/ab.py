@@ -1,6 +1,6 @@
 """Paired benchmark runs of two git revisions, and the table that compares them.
 
-    python3 tools/ab.py --base REV [--head REV] --workload W [--seed S] [--pairs N]
+    python3 tools/ab.py --base REV [--head REV] --workload W [--seed S] [--pairs N] [--json PATH]
 
 Each revision is written out with `git archive` into its own directory
 under --work (by default a new temporary directory outside the
@@ -19,7 +19,12 @@ resolved, and whether the metric's bound holds:
   wider than that, the metric is unresolved unless every head run reads
   better than every base run.
 
-Every run's JSON is kept in `runs.json` under the work directory. Only
+Every run's JSON is kept in `runs.json` under the work directory. With
+--json PATH the workload and seed's summary and runs are also written into
+PATH, a `BENCH_*.json` file: each end-to-end metric's median and quartiles
+per side and the pairs the head won, under `summary`, and every run under
+`runs`. An entry already in PATH for the same workload and seed is
+replaced, and the others are kept, so one file collects several A/Bs. Only
 the standard library and local git are used; BENCHMARK.json is read,
 never written. `git stash create` names the working tree's tracked
 changes as a revision, so uncommitted work can be the head.
@@ -27,6 +32,8 @@ changes as a revision, so uncommitted work can be the head.
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -60,12 +67,18 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def pairs_won(metric: dict, base: list[float], head: list[float]) -> int:
+    """The pairs whose head run reads better than its base run; ties count for neither."""
+    sign = 1 if metric["better"] == "higher" else -1
+    return sum(sign * (h - b) > 0 for b, h in zip(base, head))
+
+
 def compare(metric: dict, base: list[float], head: list[float]) -> str:
     """One table line for `metric` over paired runs."""
     sign = 1 if metric["better"] == "higher" else -1
     b1, bm, b3 = quartiles(base)
     h1, hm, h3 = quartiles(head)
-    won = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    won = pairs_won(metric, base, head)
     iqr = b3 - b1
     gain = "resolved" if won >= 0.9 * len(base) and sign * (hm - bm) > iqr else "unresolved"
     allowed = metric["bound"] * abs(bm)
@@ -82,6 +95,46 @@ def compare(metric: dict, base: list[float], head: list[float]) -> str:
     )
 
 
+def write_json(path: Path, workload: str, seed: int, revs: tuple[str, str], spec: dict,
+               runs: dict[str, list[dict]]) -> None:
+    """Put one A/B's summary and runs into the BENCH file at `path`.
+
+    `runs` holds each side's bench results in pair order, and the base
+    ran first in the even pairs. Entries of other workloads or seeds are
+    kept; those of this workload and seed are replaced.
+    """
+    doc = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "machine": f"{os.cpu_count()}-vCPU {platform.system()}, {platform.python_implementation()} "
+                   f"{platform.python_version()}; each side run from its own git archive copy, "
+                   "pairs alternating which side runs first",
+        "summary": [],
+        "runs": [],
+    }
+    mine = {"workload": workload, "seed": seed}
+    pairs = len(runs["base"])
+    entry = {**mine, "pairs": pairs, "parent": revs[0], "change": revs[1]}
+    for metric in spec["end_to_end"]:
+        values = {side: [r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in runs}
+        (b1, bm, b3), (h1, hm, h3) = quartiles(values["base"]), quartiles(values["head"])
+        entry[metric["name"]] = {
+            "parent_median": round(bm, 4),
+            "parent_quartiles": [round(b1, 4), round(b3, 4)],
+            "change_median": round(hm, 4),
+            "change_quartiles": [round(h1, 4), round(h3, 4)],
+            "change_better_pairs": pairs_won(metric, values["base"], values["head"]),
+        }
+    rows = [
+        {**mine, "trace": 0, "pair": pair, "side": name, "ran_first": (pair % 2 == 0) == (side == "base"),
+         "result": runs[side][pair]}
+        for pair in range(pairs)
+        for side, name in (("base", "parent"), ("head", "change"))
+    ]
+    for key, new in (("summary", [entry]), ("runs", rows)):
+        doc[key] = [item for item in doc[key] if (item["workload"], item["seed"]) != (workload, seed)] + new
+    path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
@@ -90,6 +143,7 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--work", type=Path, help="new directory for the copies (default: a temporary one)")
+    ap.add_argument("--json", type=Path, help="BENCH_*.json file to write this A/B into")
     args = ap.parse_args(argv)
 
     work = args.work or Path(tempfile.mkdtemp(prefix="viewfuse-ab-"))
@@ -111,6 +165,8 @@ def main(argv: list[str] | None = None) -> None:
     for metric in spec["end_to_end"]:
         values = {side: [r["metrics"][metric["name"]]["value"] for r in runs[side]] for side in runs}
         print(compare(metric, values["base"], values["head"]))
+    if args.json:
+        write_json(args.json, args.workload, args.seed, (args.base, args.head), spec, runs)
 
 
 if __name__ == "__main__":
