@@ -108,6 +108,8 @@ def write_json(path: Path, workload: str, seed: int, revs: tuple[str, str], spec
         "machine": f"{os.cpu_count()}-vCPU {platform.system()}, {platform.python_implementation()} "
                    f"{platform.python_version()}; each side run from its own git archive copy, "
                    "pairs alternating which side runs first",
+        "note": "Medians and quartiles are over the runs of one workload and seed; "
+                "change_better_pairs counts the pairs the change won, ties for neither.",
         "summary": [],
         "runs": [],
     }
